@@ -1,10 +1,11 @@
 //! Emits `BENCH_machine.json`: the machine-core performance baseline
-//! (exec-loop MIPS with the decode cache off, on, and with the
-//! basic-block engine on top; paged-guest kernel-replay MIPS with
-//! block chaining off vs on; per-run snapshot restore cost full vs
-//! dirty-tracked; and small-campaign wall clock at 1 and 4 worker
-//! threads, both recompute-per-rig and with golden memoization +
-//! copy-on-write rig forks).
+//! (exec-loop MIPS at each execution tier — interpreter, decode cache,
+//! chained blocks; paged-guest kernel-replay MIPS single-stepping
+//! through the decode cache vs chained blocks; per-run snapshot
+//! restore cost full vs dirty-tracked; and small-campaign wall clock at
+//! 1 and 4 worker threads, both recompute-per-rig and with golden
+//! memoization + copy-on-write rig forks), with the measuring host's
+//! CPU count.
 //!
 //! `--check` runs a scaled-down version of every measurement, prints
 //! the JSON to stdout and writes nothing — the CI smoke mode. Without
@@ -12,7 +13,7 @@
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
-use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit};
+use kfi_machine::{ExecTier, Machine, MachineConfig, Ramdisk, RunExit};
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -20,13 +21,8 @@ use std::time::Instant;
 /// The bench workload: a register-ALU loop heavy on multi-byte
 /// encodings (imm32 forms, modrm+sib+disp8), so per-fetch decode cost
 /// is a realistic share of the interpreter's work.
-fn alu_loop_machine(iters: u32, decode_cache: bool, block_engine: bool) -> Machine {
-    let mut m = Machine::new(MachineConfig {
-        timer_enabled: false,
-        decode_cache,
-        block_engine,
-        ..Default::default()
-    });
+fn alu_loop_machine(iters: u32, tier: ExecTier) -> Machine {
+    let mut m = Machine::new(MachineConfig { timer_enabled: false, tier, ..Default::default() });
     let mut code = vec![0xb9]; // mov ecx, iters
     code.extend_from_slice(&iters.to_le_bytes());
     code.extend_from_slice(&[
@@ -49,11 +45,11 @@ fn alu_loop_machine(iters: u32, decode_cache: bool, block_engine: bool) -> Machi
 /// Interprets the ALU loop and returns (MIPS, instructions retired).
 /// Best of `passes` — the loop is deterministic, so the fastest pass
 /// is the one least disturbed by the host scheduler.
-fn measure_mips(iters: u32, passes: u32, decode_cache: bool, block_engine: bool) -> (f64, u64) {
+fn measure_mips(iters: u32, passes: u32, tier: ExecTier) -> (f64, u64) {
     let mut best = f64::MAX;
     let mut insns = 0;
     for _ in 0..passes {
-        let mut m = alu_loop_machine(iters, decode_cache, block_engine);
+        let mut m = alu_loop_machine(iters, tier);
         let t = Instant::now();
         assert_eq!(m.run(u64::MAX / 2), RunExit::Halted);
         let dt = t.elapsed().as_secs_f64();
@@ -66,12 +62,13 @@ fn measure_mips(iters: u32, passes: u32, decode_cache: bool, block_engine: bool)
 /// Paged-guest replay: where campaigns actually spend their cycles.
 /// Boots the real kernel image, snapshots at the paging-enabled entry
 /// point, then replays the same boot-plus-workload instruction window
-/// (a copy-on-write fork per pass, block engine on) with block chaining
-/// off vs on. The two must retire the *same* instruction count — the
-/// deadline semantics are bit-identical — so the MIPS ratio isolates
-/// the dispatch + per-instruction-translation cost that chaining and
-/// once-per-entry translation validation remove. Returns
-/// `(mips_chain_off, mips_chain_on, instructions)`.
+/// (a copy-on-write fork per pass) single-stepping at
+/// [`ExecTier::Decoded`] vs running chained blocks at
+/// [`ExecTier::Blocks`]. The two must retire the *same* instruction
+/// count — the deadline semantics are bit-identical — so the MIPS ratio
+/// isolates the dispatch + per-instruction-translation cost that
+/// chained blocks and once-per-entry translation validation remove.
+/// Returns `(mips_decoded, mips_blocks, instructions)`.
 fn measure_paged(budget: u64, passes: u32) -> (f64, f64, u64) {
     let image = kfi_kernel::build_kernel(Default::default()).expect("kernel builds");
     let files = kfi_workloads::suite_files().expect("workloads build");
@@ -81,27 +78,27 @@ fn measure_paged(budget: u64, passes: u32) -> (f64, f64, u64) {
     let snap = m.snapshot();
     let base_cfg = *m.config();
 
-    let one_pass = |block_chain: bool| -> (f64, u64) {
-        let mut f = Machine::fork(&snap, MachineConfig { block_chain, ..base_cfg });
+    let one_pass = |tier: ExecTier| -> (f64, u64) {
+        let mut f = Machine::fork(&snap, MachineConfig { tier, ..base_cfg });
         f.disk = Some(Ramdisk::fork_from(&disk, snap.id()));
         let t = Instant::now();
         let _ = f.run(budget);
         (t.elapsed().as_secs_f64(), f.counters().instructions)
     };
-    // Passes alternate chain-off/chain-on so host-load drift hits both
-    // sides equally instead of whichever side was measured second.
-    let (mut best_off, mut best_on) = (f64::MAX, f64::MAX);
-    let (mut insns_off, mut insns_on) = (0, 0);
+    // Passes alternate the tiers so host-load drift hits both sides
+    // equally instead of whichever side was measured second.
+    let (mut best_step, mut best_blocks) = (f64::MAX, f64::MAX);
+    let (mut insns_step, mut insns_blocks) = (0, 0);
     for _ in 0..passes {
-        let (dt, n) = one_pass(false);
-        best_off = best_off.min(dt);
-        insns_off = n;
-        let (dt, n) = one_pass(true);
-        best_on = best_on.min(dt);
-        insns_on = n;
+        let (dt, n) = one_pass(ExecTier::Decoded);
+        best_step = best_step.min(dt);
+        insns_step = n;
+        let (dt, n) = one_pass(ExecTier::Blocks);
+        best_blocks = best_blocks.min(dt);
+        insns_blocks = n;
     }
-    assert_eq!(insns_off, insns_on, "chaining must not change the instruction count");
-    (insns_off as f64 / best_off / 1e6, insns_on as f64 / best_on / 1e6, insns_on)
+    assert_eq!(insns_step, insns_blocks, "blocks must not change the instruction count");
+    (insns_step as f64 / best_step / 1e6, insns_blocks as f64 / best_blocks / 1e6, insns_blocks)
 }
 
 /// Measures per-restore cost in microseconds against a booted kernel
@@ -194,12 +191,12 @@ fn main() {
         if check { (20_000, 3, 8, 1) } else { (500_000, 5, 64, 4) };
 
     eprintln!("[bench_machine] exec loop ({loop_iters} iterations)...");
-    let (mips_off, insns) = measure_mips(loop_iters, passes, false, false);
-    let (mips_on, insns_on) = measure_mips(loop_iters, passes, true, false);
-    let (mips_block, insns_block) = measure_mips(loop_iters, passes, true, true);
-    assert_eq!(insns, insns_on, "cache must not change the instruction count");
-    assert_eq!(insns, insns_block, "block engine must not change the instruction count");
-    let exec_speedup = mips_block / mips_off;
+    let (mips_interp, insns) = measure_mips(loop_iters, passes, ExecTier::Interp);
+    let (mips_decoded, insns_decoded) = measure_mips(loop_iters, passes, ExecTier::Decoded);
+    let (mips_blocks, insns_blocks) = measure_mips(loop_iters, passes, ExecTier::Blocks);
+    assert_eq!(insns, insns_decoded, "the decode cache must not change the instruction count");
+    assert_eq!(insns, insns_blocks, "blocks must not change the instruction count");
+    let exec_speedup = mips_blocks / mips_interp;
 
     let paged_budget: u64 = if check { 2_000_000 } else { 40_000_000 };
     // One paged pass is a single ~35 ms run — far more exposed to
@@ -207,8 +204,9 @@ fn main() {
     // samples to converge on the quiet-machine figure.
     let paged_passes = if check { 3 } else { 9 };
     eprintln!("[bench_machine] paged kernel replay (budget {paged_budget} cycles)...");
-    let (mips_paged_off, mips_paged_on, paged_insns) = measure_paged(paged_budget, paged_passes);
-    let paged_speedup = mips_paged_on / mips_paged_off;
+    let (mips_paged_step, mips_paged_blocks, paged_insns) =
+        measure_paged(paged_budget, paged_passes);
+    let paged_speedup = mips_paged_blocks / mips_paged_step;
 
     eprintln!("[bench_machine] snapshot restore ({restore_reps} reps)...");
     let (full_us, dirty_us, dirty_pages) = measure_restore(restore_reps);
@@ -237,20 +235,22 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"machine\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if check { "check" } else { "full" });
+    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"exec_loop\": {{");
     let _ = writeln!(json, "    \"instructions\": {insns},");
-    let _ = writeln!(json, "    \"mips_cache_off\": {mips_off:.1},");
-    let _ = writeln!(json, "    \"mips_cache_on\": {mips_on:.1},");
-    let _ = writeln!(json, "    \"mips_block_on\": {mips_block:.1},");
-    let _ = writeln!(json, "    \"speedup_cache\": {:.2},", mips_on / mips_off);
-    let _ = writeln!(json, "    \"speedup_block\": {:.2},", mips_block / mips_on);
+    let _ = writeln!(json, "    \"mips_interp\": {mips_interp:.1},");
+    let _ = writeln!(json, "    \"mips_decoded\": {mips_decoded:.1},");
+    let _ = writeln!(json, "    \"mips_blocks\": {mips_blocks:.1},");
+    let _ = writeln!(json, "    \"speedup_decoded\": {:.2},", mips_decoded / mips_interp);
+    let _ = writeln!(json, "    \"speedup_blocks\": {:.2},", mips_blocks / mips_decoded);
     let _ = writeln!(json, "    \"speedup\": {exec_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"exec_loop_paged\": {{");
     let _ = writeln!(json, "    \"instructions\": {paged_insns},");
-    let _ = writeln!(json, "    \"mips_chain_off\": {mips_paged_off:.1},");
-    let _ = writeln!(json, "    \"mips_chain_on\": {mips_paged_on:.1},");
-    let _ = writeln!(json, "    \"speedup_chain\": {paged_speedup:.2}");
+    let _ = writeln!(json, "    \"mips_decoded\": {mips_paged_step:.1},");
+    let _ = writeln!(json, "    \"mips_blocks\": {mips_paged_blocks:.1},");
+    let _ = writeln!(json, "    \"speedup_blocks\": {paged_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"snapshot_restore\": {{");
     let _ = writeln!(json, "    \"phys_mem_bytes\": {},", 8 << 20);

@@ -1,6 +1,6 @@
 //! Emits `BENCH_scaling.json`: the supervised-campaign host scaling
 //! curve — wall-clock seconds for one memoized campaign A at 1, 2, 4
-//! and 8 worker threads through the batched claim/report scheduler,
+//! and 8 worker threads through the supervisor's claim/report scheduler,
 //! on the default uniprocessor guest and again on a `cpus = 2` SMP
 //! guest — plus the cross-worker-count bit-identity assertion that
 //! makes the curve safe to publish (every thread count must produce
@@ -22,6 +22,7 @@ use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
+use kfi_machine::MachineConfig;
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -107,7 +108,10 @@ fn main() {
         max_per_function: Some(smp_cap),
         threads: 1,
         kernel: KernelBuildOptions { smp: true, ..KernelBuildOptions::default() },
-        rig: RigConfig { cpus: 2, ..RigConfig::default() },
+        rig: RigConfig {
+            machine: MachineConfig { cpus: 2, ..MachineConfig::default() },
+            ..RigConfig::default()
+        },
         profiler: ProfilerConfig { period: 501, budget: 200_000_000 },
         ..Default::default()
     })

@@ -11,6 +11,7 @@ use kfi_core::supervisor::{PanicInjection, SupervisorConfig, SupervisorReport};
 use kfi_core::{Experiment, ExperimentConfig, StudyResult};
 use kfi_injector::{plan_function, Campaign, Outcome, RigConfig};
 use kfi_kernel::KernelBuildOptions;
+use kfi_machine::MachineConfig;
 use kfi_profiler::ProfilerConfig;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -312,6 +313,19 @@ impl ReproOptions {
         o
     }
 
+    /// The rig configuration both [`ReproOptions::to_config`] and
+    /// [`ReproOptions::matrix_config`] run with.
+    fn rig_config(&self) -> RigConfig {
+        RigConfig {
+            machine: MachineConfig {
+                sanitizer: self.sanitize,
+                cpus: self.cpus,
+                ..MachineConfig::default()
+            },
+            ..RigConfig::default()
+        }
+    }
+
     /// Converts to an experiment configuration.
     pub fn to_config(&self) -> ExperimentConfig {
         ExperimentConfig {
@@ -324,7 +338,7 @@ impl ReproOptions {
                 ..Default::default()
             },
             profiler: ProfilerConfig::default(),
-            rig: RigConfig { sanitizer: self.sanitize, cpus: self.cpus, ..RigConfig::default() },
+            rig: self.rig_config(),
             memoize: !self.no_memo,
             ..Default::default()
         }
@@ -375,7 +389,7 @@ impl ReproOptions {
             max_per_function: self.cap,
             max_per_cell: None,
             profiler: ProfilerConfig::default(),
-            rig: RigConfig { sanitizer: self.sanitize, cpus: self.cpus, ..RigConfig::default() },
+            rig: self.rig_config(),
             suite: kfi_workloads::Suite::Traffic,
             journal_dir: self.journal.clone(),
             resume: self.resume,

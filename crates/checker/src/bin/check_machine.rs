@@ -1,38 +1,35 @@
-//! Deterministic differential sweep + sanitizer self-test for CI.
+//! Deterministic differential sweep + seeded-bug self-tests for CI.
 //!
 //! For each seed, generates a guest program in three corruption
 //! variants (clean, pre-run bit flips, mid-run bit flip) and runs it
-//! through the nine machine-level differential pairs (decode cache
-//! on/off, block engine vs single-step, block chaining on/off,
+//! through the eight machine-level differential pairs of
+//! [`MACHINE_PAIRS`] (decode cache on/off, block tier vs single-step,
 //! ring/null trace sink, snapshot-restore/fresh-boot,
-//! shared-snapshot-fork/fresh-boot, on a separately generated
-//! two-ring program crossing `int $0x80`/`iret`/timer gates under
-//! paging — full pipeline vs bare interpreter, and on a separately
-//! generated two-CPU program exchanging startup and reschedule IPIs —
-//! decode cache on/off at `cpus = 2` plus parked-secondary vs plain
+//! shared-snapshot-fork/fresh-boot, on a separately generated two-ring
+//! program crossing `int $0x80`/`iret`/timer gates under paging —
+//! block tier vs bare interpreter, and on a separately generated
+//! two-CPU program exchanging startup and reschedule IPIs — decode
+//! cache on/off at `cpus = 2` plus parked-secondary vs plain
 //! uniprocessor). The architectural-state sanitizer is enabled on
-//! every machine except in the block-engine, chain, and ring pairs,
-//! which force it off so block execution actually engages (the engine
-//! falls back to single-stepping under the sanitizer). A smaller sweep
-//! of full injection campaigns compares 1-worker vs 2-worker execution
-//! record-for-record. Before any of that, three self-tests seed known
-//! bugs through test-only machine hooks — a broken ALU flag writer the
-//! sanitizer must report, a skipped TSS.esp0 kernel-stack switch the
-//! ring-transition lockstep must flag, and a dropped reschedule IPI
-//! the SMP lockstep must flag as a divergence — proving the net can
-//! actually catch fish.
+//! every machine except in the block-engine and ring pairs, which
+//! force it off so blocks actually run (the sanitizer demotes the
+//! block tier to single-stepping). A smaller sweep of full injection
+//! campaigns compares 1-worker vs 2-worker execution
+//! record-for-record. Before any of that, the three seeded-bug
+//! self-tests of [`seeded_bug_self_tests`] — a broken ALU flag writer
+//! the sanitizer must report, a skipped TSS.esp0 kernel-stack switch
+//! the ring-transition lockstep must flag, and a dropped reschedule
+//! IPI the SMP lockstep must flag — prove the net can actually catch
+//! fish.
 //!
 //! Exit status is nonzero iff any divergence, sanitizer violation, or
 //! self-test failure occurred.
 
-use kfi_checker::diff::{
-    pair_block_engine, pair_chain, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
-    pair_smp_parked, pair_trace_sink, run_lockstep, PairOutcome, StateMask,
-};
-use kfi_checker::gen::{generate, generate_ring, generate_smp, install, Variant};
+use kfi_checker::diff::{run_machine_pairs, seeded_bug_self_tests, PairOutcome, MACHINE_PAIRS};
+use kfi_checker::gen::Variant;
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
-use kfi_machine::{Machine, MachineConfig, RunExit};
+use kfi_machine::MachineConfig;
 use kfi_profiler::ProfilerConfig;
 
 struct Options {
@@ -61,7 +58,7 @@ fn parse_args() -> Result<Options, String> {
                     "usage: check_machine [--seeds N] [--campaign-seeds N] [--verbose]\n\
                      \n\
                      Differential sweep over the simulated machine's paired\n\
-                     configurations plus a sanitizer self-test. Defaults:\n\
+                     configurations plus seeded-bug self-tests. Defaults:\n\
                      --seeds 32, --campaign-seeds 2."
                 );
                 std::process::exit(0);
@@ -74,81 +71,6 @@ fn parse_args() -> Result<Options, String> {
 
 fn sanitized_config() -> MachineConfig {
     MachineConfig { sanitizer: true, ..MachineConfig::default() }
-}
-
-/// The sanitizer must catch a seeded flag-update bug, and must stay
-/// silent on the identical program without the bug.
-fn self_test() -> Result<(), String> {
-    // add $1,%eax ; cli ; hlt — one ALU flag write, then stop.
-    const PROGRAM: [u8; 5] = [0x83, 0xc0, 0x01, 0xfa, 0xf4];
-    let run = |flag_update_bug: bool| -> (u64, RunExit) {
-        let mut m = Machine::new(MachineConfig { flag_update_bug, ..sanitized_config() });
-        m.mem.load(0x1000, &PROGRAM);
-        m.cpu.eip = 0x1000;
-        let exit = m.run(10_000);
-        (m.sanitizer_violation_count(), exit)
-    };
-
-    let (clean, exit) = run(false);
-    if exit != RunExit::Halted {
-        return Err(format!("self-test control run did not halt: {exit:?}"));
-    }
-    if clean != 0 {
-        return Err(format!("sanitizer reported {clean} violations on a correct machine"));
-    }
-    let (buggy, _) = run(true);
-    if buggy == 0 {
-        return Err("sanitizer MISSED the seeded flag-update bug".to_string());
-    }
-    Ok(())
-}
-
-/// The ring-transition lockstep must catch a machine that skips the
-/// TSS.esp0 kernel-stack switch on user→kernel delivery (interrupt
-/// frames land on the user stack), and must stay silent when both
-/// machines are correct.
-fn ring_self_test() -> Result<(), String> {
-    let cfg = MachineConfig::default();
-    let prog = generate_ring(0, Variant::Clean);
-
-    let mut a = install(&prog, cfg);
-    let mut b = install(&prog, cfg);
-    let control = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-    if !control.clean() {
-        return Err(format!("ring control run diverged on a correct machine: {control:?}"));
-    }
-
-    let mut a = install(&prog, cfg);
-    let mut b = install(&prog, MachineConfig { ring_switch_bug: true, ..cfg });
-    let out = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-    if out.divergence.is_none() {
-        return Err("ring lockstep MISSED the seeded stack-switch bug".to_string());
-    }
-    Ok(())
-}
-
-/// The SMP lockstep must catch a machine that drops reschedule IPIs
-/// (CPU 1 grinds on long after the correct machine's CPU 1 took the
-/// doorbell and halted), and must stay silent when both machines are
-/// correct.
-fn smp_self_test() -> Result<(), String> {
-    let cfg = MachineConfig::default();
-    let prog = generate_smp(0, Variant::Clean);
-
-    let mut a = install(&prog, cfg);
-    let mut b = install(&prog, cfg);
-    let control = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-    if !control.clean() {
-        return Err(format!("smp control run diverged on a correct machine: {control:?}"));
-    }
-
-    let mut a = install(&prog, cfg);
-    let mut b = install(&prog, MachineConfig { ipi_drop_bug: true, ..cfg });
-    let out = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-    if out.divergence.is_none() {
-        return Err("smp lockstep MISSED the seeded dropped-IPI bug".to_string());
-    }
-    Ok(())
 }
 
 fn report_pair(seed: u64, variant: Variant, name: &str, out: &PairOutcome) -> bool {
@@ -171,21 +93,7 @@ fn machine_sweep(opts: &Options) -> (u64, u64) {
     let mut failures = 0u64;
     for seed in 0..opts.seeds {
         for variant in [Variant::Clean, Variant::PreFlip, Variant::MidRunFlip] {
-            let prog = generate(seed, variant);
-            let ring = generate_ring(seed, variant);
-            let smp = generate_smp(seed, variant);
-            let cfg = sanitized_config();
-            for (name, out) in [
-                ("decode-cache", pair_decode_cache(&prog, cfg)),
-                ("block-engine", pair_block_engine(&prog, cfg)),
-                ("chain", pair_chain(&prog, cfg)),
-                ("trace-sink", pair_trace_sink(&prog, cfg)),
-                ("restore", pair_restore(&prog, cfg)),
-                ("fork", pair_fork(&prog, cfg)),
-                ("ring", pair_ring(&ring, cfg)),
-                ("smp", pair_smp(&smp, cfg)),
-                ("smp-parked", pair_smp_parked(&prog, cfg)),
-            ] {
+            for (name, out) in run_machine_pairs(seed, variant, sanitized_config()) {
                 pairs += 1;
                 if !report_pair(seed, variant, name, &out) {
                     failures += 1;
@@ -254,32 +162,23 @@ fn main() {
         }
     };
 
-    match self_test() {
-        Ok(()) => println!("self-test: sanitizer catches the seeded flag-update bug"),
-        Err(e) => {
-            eprintln!("self-test FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-    match ring_self_test() {
-        Ok(()) => println!("self-test: ring lockstep catches the seeded stack-switch bug"),
-        Err(e) => {
-            eprintln!("ring self-test FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-    match smp_self_test() {
-        Ok(()) => println!("self-test: smp lockstep catches the seeded dropped-IPI bug"),
-        Err(e) => {
-            eprintln!("smp self-test FAILED: {e}");
-            std::process::exit(1);
+    for (what, result) in seeded_bug_self_tests(0) {
+        match result {
+            Ok(()) => println!("self-test: {what}"),
+            Err(e) => {
+                eprintln!("self-test FAILED ({what}): {e}");
+                std::process::exit(1);
+            }
         }
     }
 
     let (mpairs, mfail) = machine_sweep(&opts);
     println!(
-        "machine sweep: {} seeds x 3 variants x 9 pairs = {} pairs, {} failures",
-        opts.seeds, mpairs, mfail
+        "machine sweep: {} seeds x 3 variants x {} pairs = {} pairs, {} failures",
+        opts.seeds,
+        MACHINE_PAIRS.len(),
+        mpairs,
+        mfail
     );
     let (cpairs, cfail) = campaign_sweep(&opts);
     println!("campaign sweep: {cpairs} pairs (1 vs 2 workers), {cfail} failures");

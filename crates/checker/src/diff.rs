@@ -1,19 +1,25 @@
 //! Lockstep differential execution over paired machine configurations.
 //!
-//! Two machines running the same [`GenProgram`]
-//! under configurations that must be observationally equivalent (decode
-//! cache on/off, block engine vs single-step, block chaining on/off,
-//! ring/null trace sink, snapshot-restore vs fresh boot, shared-snapshot
-//! fork vs fresh boot, full pipeline vs bare interpreter across
-//! user/kernel ring transitions) are stepped together; their [`StepEvent`]s are compared after every
-//! step and the full architectural state — registers, flags, control
+//! Two machines running the same [`GenProgram`] under configurations
+//! that must be observationally equivalent (the [`MACHINE_PAIRS`]
+//! table: decode cache on/off, block tier vs single-step, ring/null
+//! trace sink, snapshot-restore vs fresh boot, shared-snapshot fork vs
+//! fresh boot, block tier vs bare interpreter across user/kernel ring
+//! transitions, and two SMP pairs) are stepped together; their
+//! [`StepEvent`]s are compared after every step and the full
+//! architectural state — registers, flags, control
 //! registers, TSC, console, monitor, trap history, counters, and an
 //! FNV-1a digest of all of physical memory — at checkpoints and at
 //! termination. The first divergence is reported with a disassembly of
 //! the instruction stream around the diverging EIP.
 
-use crate::gen::{apply_mid_flip, install, GenProgram, CODE_BASE};
-use kfi_machine::{Counters, Machine, MachineConfig, MonitorEvent, StepEvent, TrapRecord};
+use crate::gen::{
+    apply_mid_flip, generate, generate_ring, generate_smp, install, GenProgram, Variant, CODE_BASE,
+};
+use kfi_machine::{
+    Counters, ExecTier, Machine, MachineConfig, MonitorEvent, RunExit, SeededBugs, StepEvent,
+    TrapRecord,
+};
 
 /// How often (in steps) the full architectural state is compared during
 /// lockstep; step events are compared every step regardless.
@@ -278,10 +284,11 @@ pub fn run_lockstep(
     PairOutcome { steps: step, divergence, violations }
 }
 
-/// Pair: decode cache on vs off (lockstep; cache counters excluded).
+/// Pair: decode cache on vs off — [`ExecTier::Decoded`] vs
+/// [`ExecTier::Interp`] (lockstep; cache counters excluded).
 pub fn pair_decode_cache(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let mut a = install(prog, MachineConfig { decode_cache: true, ..base });
-    let mut b = install(prog, MachineConfig { decode_cache: false, ..base });
+    let mut a = install(prog, MachineConfig { tier: ExecTier::Decoded, ..base });
+    let mut b = install(prog, MachineConfig { tier: ExecTier::Interp, ..base });
     run_lockstep(
         &mut a,
         &mut b,
@@ -342,28 +349,61 @@ pub fn pair_restore(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     PairOutcome { steps: second, divergence, violations }
 }
 
-/// Pair: basic-block engine vs single-stepping. Machine `b` is the
-/// reference: it single-steps (via [`Machine::step`], which never uses
-/// blocks) while recording the TSC at the pre-flip boundary and at
-/// termination. Machine `a` has the block engine on and is driven by
-/// [`Machine::run`] against those recorded TSCs — instruction-boundary
-/// TSCs are bit-identical across the two modes, so a cycle deadline
-/// stops `a` exactly where the flip (or the comparison point) belongs.
-///
-/// The comparison uses [`StateMask::full`]: unlike the cache-on/off
-/// pair, the block engine keeps the decode-cache *and* TLB statistics
-/// identical to single-stepping — that is the property that lets the
-/// golden campaign CSV stay byte-identical with the engine enabled.
-///
-/// Both sides force the sanitizer off: `run` falls back to
-/// single-stepping under the sanitizer, which would make the pair
-/// vacuous.
+/// Pair: the block tier vs single-stepping through the decode cache.
+/// Compared under [`StateMask::full`]: unlike the cache-on/off pair,
+/// the block tier keeps the decode-cache *and* TLB statistics identical
+/// to single-stepping — that is the property that lets the golden
+/// campaign CSV stay byte-identical with blocks on. A mid-run flip
+/// lands *inside* chained segments, the case where a stale chain link
+/// or a skipped re-translation would show. The reference side
+/// single-steps at [`ExecTier::Decoded`]; the block side is driven by
+/// [`Machine::run`] to the reference's TSCs, both with the sanitizer
+/// off (it would demote the block tier to single-stepping).
 pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let off = MachineConfig { block_engine: false, sanitizer: false, ..base };
-    let on = MachineConfig { block_engine: true, sanitizer: false, ..base };
+    run_vs_step(prog, base, ExecTier::Decoded, StateMask::full())
+}
+
+/// Pair: the block tier vs the bare interpreter on a *ring-transition*
+/// program from [`generate_ring`]:
+/// `int $0x80` through a user-callable IDT gate, the TSS.esp0
+/// kernel-stack switch, `iret` back to ring 3, and asynchronous timer
+/// interrupts of user code — the transitions every campaign run
+/// crosses thousands of times, under the exact machinery stack
+/// campaigns run with. Decode-cache statistics are masked (the bare
+/// side has no cache); TLB statistics must still match, gate crossings
+/// and CR3-rooted walks included. Driven like [`pair_block_engine`],
+/// with the reference single-stepping at [`ExecTier::Interp`].
+pub fn pair_ring(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
+    run_vs_step(
+        prog,
+        base,
+        ExecTier::Interp,
+        StateMask { decode_stats: false, tlb_stats: true, smp_digest: true },
+    )
+}
+
+/// Run-vs-single-step comparison behind [`pair_block_engine`] and
+/// [`pair_ring`]. The reference machine single-steps at `step_tier`
+/// (via [`Machine::step`], which never uses blocks), recording the TSC
+/// at the pre-flip boundary and at termination. The other machine runs
+/// at [`ExecTier::Blocks`] and is driven by [`Machine::run`] against
+/// those recorded TSCs — instruction-boundary TSCs are bit-identical
+/// across tiers (trap delivery costs are charged at boundaries too), so
+/// a cycle deadline stops it exactly where the flip (or the comparison
+/// point) belongs. The end states are compared under `mask`.
+///
+/// Both sides force the sanitizer off: it demotes the block tier to
+/// single-stepping, which would make the pair vacuous.
+fn run_vs_step(
+    prog: &GenProgram,
+    base: MachineConfig,
+    step_tier: ExecTier,
+    mask: StateMask,
+) -> PairOutcome {
+    let base = MachineConfig { sanitizer: false, ..base };
 
     // Reference pass: single-step, recording where the flip lands.
-    let mut b = install(prog, off);
+    let mut b = install(prog, MachineConfig { tier: step_tier, ..base });
     let mut flip_tsc = None;
     let mut step = 0u64;
     let terminated = loop {
@@ -383,7 +423,7 @@ pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome 
     let end_tsc = b.cpu.tsc;
 
     // Block pass: run to the recorded TSCs.
-    let mut a = install(prog, on);
+    let mut a = install(prog, MachineConfig { tier: ExecTier::Blocks, ..base });
     if let Some(f) = prog.mid_flip {
         if let Some(t) = flip_tsc {
             a.run(t - a.cpu.tsc);
@@ -399,87 +439,13 @@ pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome 
         a.run(end_tsc - a.cpu.tsc);
     }
 
-    let sa = ArchState::capture(&a, &StateMask::full());
-    let sb = ArchState::capture(&b, &StateMask::full());
+    let sa = ArchState::capture(&a, &mask);
+    let sb = ArchState::capture(&b, &mask);
     let divergence = if sa != sb {
         Some(Divergence {
             step,
             detail: format!(
-                "block-engine state != single-step state:\n    {}",
-                sa.diff(&sb).join("\n    ")
-            ),
-            context: disasm_context(&mut a),
-        })
-    } else {
-        None
-    };
-    let mut violations = Vec::new();
-    collect_violations("a", &a, &mut violations);
-    collect_violations("b", &b, &mut violations);
-    PairOutcome { steps: step, divergence, violations }
-}
-
-/// Pair: block chaining on vs off, both under the block engine and both
-/// driven by [`Machine::run`]. A single-step pass first records the TSC
-/// at the pre-flip boundary and at termination (instruction-boundary
-/// TSCs are bit-identical across all execution modes); each block
-/// machine is then run against those recorded TSCs — so a mid-run flip
-/// lands *inside* chained segments, the case where a stale chain link
-/// or a skipped re-translation would show — and the two are compared
-/// under [`StateMask::full`]: chaining must keep even the TLB and
-/// decode-cache statistics identical to unchained block execution,
-/// which is what keeps golden corpora byte-identical with chaining on.
-///
-/// Both sides force the sanitizer off, as in [`pair_block_engine`].
-pub fn pair_chain(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let off = MachineConfig { block_engine: true, block_chain: false, sanitizer: false, ..base };
-    let on = MachineConfig { block_chain: true, ..off };
-
-    // Reference pass: single-step, recording where the flip lands.
-    let mut r = install(prog, MachineConfig { block_engine: false, ..off });
-    let mut flip_tsc = None;
-    let mut step = 0u64;
-    let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(r.cpu.tsc);
-            apply_mid_flip(&mut r, &f);
-        }
-        let ev = r.step();
-        step += 1;
-        if terminal(ev) {
-            break true;
-        }
-        if step >= MAX_STEPS {
-            break false;
-        }
-    };
-    let end_tsc = r.cpu.tsc;
-
-    let run_side = |config: MachineConfig| -> Machine {
-        let mut m = install(prog, config);
-        if let Some(f) = prog.mid_flip {
-            if let Some(t) = flip_tsc {
-                m.run(t - m.cpu.tsc);
-                apply_mid_flip(&mut m, &f);
-            }
-        }
-        if terminated {
-            m.run(end_tsc.saturating_sub(m.cpu.tsc).saturating_add(100_000));
-        } else {
-            m.run(end_tsc - m.cpu.tsc);
-        }
-        m
-    };
-    let mut a = run_side(on);
-    let b = run_side(off);
-
-    let sa = ArchState::capture(&a, &StateMask::full());
-    let sb = ArchState::capture(&b, &StateMask::full());
-    let divergence = if sa != sb {
-        Some(Divergence {
-            step,
-            detail: format!(
-                "chained state != unchained state:\n    {}",
+                "block-tier run state != {step_tier:?} single-step state:\n    {}",
                 sa.diff(&sb).join("\n    ")
             ),
             context: disasm_context(&mut a),
@@ -557,97 +523,8 @@ pub fn pair_fork(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     PairOutcome { steps: second, divergence, violations }
 }
 
-/// Pair: the full execution pipeline (decode cache + block engine +
-/// block chaining) vs the bare single-step interpreter, on a
-/// *ring-transition* program from
-/// [`generate_ring`](crate::gen::generate_ring): `int $0x80` through a
-/// user-callable IDT gate, the TSS.esp0 kernel-stack switch, `iret`
-/// back to ring 3, and asynchronous timer interrupts of user code — the
-/// transitions every campaign run crosses thousands of times, under the
-/// exact machinery stack campaigns run with.
-///
-/// The bare side single-steps as the reference, recording the TSC at
-/// the pre-flip boundary and at termination; the full side is driven by
-/// [`Machine::run`] against those TSCs (instruction-boundary TSCs are
-/// bit-identical across execution modes — and trap delivery costs are
-/// charged at instruction boundaries too). Decode-cache statistics are
-/// masked (the bare side has no cache); TLB statistics must still
-/// match, gate crossings and CR3-rooted walks included.
-///
-/// Both sides force the sanitizer off, as in [`pair_block_engine`].
-pub fn pair_ring(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let bare = MachineConfig {
-        decode_cache: false,
-        block_engine: false,
-        block_chain: false,
-        sanitizer: false,
-        ..base
-    };
-    let full = MachineConfig {
-        decode_cache: true,
-        block_engine: true,
-        block_chain: true,
-        sanitizer: false,
-        ..base
-    };
-
-    // Reference pass: single-step, recording where the flip lands.
-    let mut b = install(prog, bare);
-    let mut flip_tsc = None;
-    let mut step = 0u64;
-    let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(b.cpu.tsc);
-            apply_mid_flip(&mut b, &f);
-        }
-        let ev = b.step();
-        step += 1;
-        if terminal(ev) {
-            break true;
-        }
-        if step >= MAX_STEPS {
-            break false;
-        }
-    };
-    let end_tsc = b.cpu.tsc;
-
-    // Full-pipeline pass: run to the recorded TSCs.
-    let mut a = install(prog, full);
-    if let Some(f) = prog.mid_flip {
-        if let Some(t) = flip_tsc {
-            a.run(t - a.cpu.tsc);
-            apply_mid_flip(&mut a, &f);
-        }
-    }
-    if terminated {
-        a.run(end_tsc.saturating_sub(a.cpu.tsc).saturating_add(100_000));
-    } else {
-        a.run(end_tsc - a.cpu.tsc);
-    }
-
-    let mask = StateMask { decode_stats: false, tlb_stats: true, smp_digest: true };
-    let sa = ArchState::capture(&a, &mask);
-    let sb = ArchState::capture(&b, &mask);
-    let divergence = if sa != sb {
-        Some(Divergence {
-            step,
-            detail: format!(
-                "full-pipeline state != single-step state across ring transitions:\n    {}",
-                sa.diff(&sb).join("\n    ")
-            ),
-            context: disasm_context(&mut a),
-        })
-    } else {
-        None
-    };
-    let mut violations = Vec::new();
-    collect_violations("a", &a, &mut violations);
-    collect_violations("b", &b, &mut violations);
-    PairOutcome { steps: step, divergence, violations }
-}
-
 /// Pair: decode cache on vs off on a *two-CPU* machine running a
-/// [`generate_smp`](crate::gen::generate_smp) program — startup IPI,
+/// [`generate_smp`] program — startup IPI,
 /// interleaved execution under the round-robin scheduler, cross-CPU
 /// stores to a shared word, and a reschedule doorbell. The decode cache
 /// is shared plumbing over [`PhysMem`](kfi_machine::PhysMem) while the
@@ -656,8 +533,8 @@ pub fn pair_ring(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 /// [`StateMask::smp_digest`] on: both CPUs' full state (and in-flight
 /// IPIs) are compared at every checkpoint, not just the active one's.
 pub fn pair_smp(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let mut a = install(prog, MachineConfig { decode_cache: true, ..base });
-    let mut b = install(prog, MachineConfig { decode_cache: false, ..base });
+    let mut a = install(prog, MachineConfig { tier: ExecTier::Decoded, ..base });
+    let mut b = install(prog, MachineConfig { tier: ExecTier::Interp, ..base });
     run_lockstep(
         &mut a,
         &mut b,
@@ -668,7 +545,7 @@ pub fn pair_smp(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 
 /// Pair: a two-CPU machine whose secondary is never woken vs the plain
 /// uniprocessor, in lockstep on an ordinary
-/// [`generate`](crate::gen::generate) program (no IPI traffic). A
+/// [`generate`] program (no IPI traffic). A
 /// parked CPU must be *free*: the
 /// scheduler may rotate over it at every quantum boundary, but nothing
 /// the program can observe — timing, TLB and decode statistics, memory
@@ -690,6 +567,127 @@ pub fn pair_smp_parked(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     )
 }
 
+/// Which generated program a pair runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Program {
+    /// [`generate`]: single-ring, uniprocessor.
+    Plain,
+    /// [`generate_ring`]: user/kernel ring transitions under paging.
+    Ring,
+    /// [`generate_smp`]: two CPUs exchanging startup and reschedule
+    /// IPIs.
+    Smp,
+}
+
+/// A machine-level pair: `(name, program, pair)`.
+pub type MachinePair = (&'static str, Program, fn(&GenProgram, MachineConfig) -> PairOutcome);
+
+/// Every machine-level differential pair, in sweep order — the one
+/// list `check_machine` and the unit tests both run.
+pub const MACHINE_PAIRS: [MachinePair; 8] = [
+    ("decode-cache", Program::Plain, pair_decode_cache),
+    ("block-engine", Program::Plain, pair_block_engine),
+    ("trace-sink", Program::Plain, pair_trace_sink),
+    ("restore", Program::Plain, pair_restore),
+    ("fork", Program::Plain, pair_fork),
+    ("ring", Program::Ring, pair_ring),
+    ("smp", Program::Smp, pair_smp),
+    ("smp-parked", Program::Plain, pair_smp_parked),
+];
+
+/// Runs every pair of [`MACHINE_PAIRS`] on the programs generated for
+/// `(seed, variant)`, returning `(name, outcome)` in table order.
+pub fn run_machine_pairs(
+    seed: u64,
+    variant: Variant,
+    base: MachineConfig,
+) -> Vec<(&'static str, PairOutcome)> {
+    let plain = generate(seed, variant);
+    let ring = generate_ring(seed, variant);
+    let smp = generate_smp(seed, variant);
+    MACHINE_PAIRS
+        .iter()
+        .map(|&(name, program, pair)| {
+            let prog = match program {
+                Program::Plain => &plain,
+                Program::Ring => &ring,
+                Program::Smp => &smp,
+            };
+            (name, pair(prog, base))
+        })
+        .collect()
+}
+
+/// Seeded-bug self-test for the sanitizer: it must report the
+/// [`SeededBugs::flag_update`] bug on a one-instruction ALU program, and
+/// stay silent on the same program without the bug.
+fn sanitizer_self_test() -> Result<(), String> {
+    // add $1,%eax ; cli ; hlt — one ALU flag write, then stop.
+    const PROGRAM: [u8; 5] = [0x83, 0xc0, 0x01, 0xfa, 0xf4];
+    let run = |flag_update: bool| -> (u64, RunExit) {
+        let mut m = Machine::new(MachineConfig {
+            sanitizer: true,
+            bugs: SeededBugs { flag_update, ..SeededBugs::default() },
+            ..MachineConfig::default()
+        });
+        m.mem.load(0x1000, &PROGRAM);
+        m.cpu.eip = 0x1000;
+        let exit = m.run(10_000);
+        (m.sanitizer_violation_count(), exit)
+    };
+    let (clean, exit) = run(false);
+    if exit != RunExit::Halted {
+        return Err(format!("control run did not halt: {exit:?}"));
+    }
+    if clean != 0 {
+        return Err(format!("sanitizer reported {clean} violations on a correct machine"));
+    }
+    if run(true).0 == 0 {
+        return Err("sanitizer MISSED the seeded flag-update bug".to_string());
+    }
+    Ok(())
+}
+
+/// Seeded-bug self-test for the lockstep executor: a machine carrying
+/// `bugs` must diverge from a correct one on `prog`, and two correct
+/// machines must not.
+fn lockstep_self_test(prog: &GenProgram, bugs: SeededBugs) -> Result<(), String> {
+    let cfg = MachineConfig::default();
+    let mut a = install(prog, cfg);
+    let mut b = install(prog, cfg);
+    let control = run_lockstep(&mut a, &mut b, prog, &StateMask::full());
+    if !control.clean() {
+        return Err(format!("control run diverged on correct machines: {control:?}"));
+    }
+    let mut a = install(prog, cfg);
+    let mut b = install(prog, MachineConfig { bugs, ..cfg });
+    if run_lockstep(&mut a, &mut b, prog, &StateMask::full()).divergence.is_none() {
+        return Err(format!("lockstep MISSED the seeded bug {bugs:?}"));
+    }
+    Ok(())
+}
+
+/// The three seeded-bug self-tests on programs generated from `seed`,
+/// as `(what must be caught, result)`: a broken ALU flag writer the
+/// sanitizer must report, a skipped TSS.esp0 kernel-stack switch the
+/// ring-transition lockstep must flag, and a dropped reschedule IPI
+/// the SMP lockstep must flag.
+pub fn seeded_bug_self_tests(seed: u64) -> [(&'static str, Result<(), String>); 3] {
+    let ring_switch = SeededBugs { ring_switch: true, ..SeededBugs::default() };
+    let ipi_drop = SeededBugs { ipi_drop: true, ..SeededBugs::default() };
+    [
+        ("sanitizer catches the seeded flag-update bug", sanitizer_self_test()),
+        (
+            "ring lockstep catches the seeded stack-switch bug",
+            lockstep_self_test(&generate_ring(seed, Variant::Clean), ring_switch),
+        ),
+        (
+            "smp lockstep catches the seeded dropped-IPI bug",
+            lockstep_self_test(&generate_smp(seed, Variant::Clean), ipi_drop),
+        ),
+    ]
+}
+
 fn run_to_end(m: &mut Machine, prog: &GenProgram) -> u64 {
     let mut step = 0u64;
     loop {
@@ -707,7 +705,6 @@ fn run_to_end(m: &mut Machine, prog: &GenProgram) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, Variant};
 
     fn base() -> MachineConfig {
         MachineConfig { sanitizer: true, ..MachineConfig::default() }
@@ -740,56 +737,21 @@ mod tests {
     }
 
     #[test]
-    fn all_seven_machine_pairs_agree_on_a_sample() {
+    fn all_machine_pairs_agree_on_a_sample() {
         for seed in [0, 1, 2, 5] {
             for variant in [Variant::Clean, Variant::PreFlip, Variant::MidRunFlip] {
-                let prog = generate(seed, variant);
-                let ring = crate::gen::generate_ring(seed, variant);
-                for (name, out) in [
-                    ("decode-cache", pair_decode_cache(&prog, base())),
-                    ("block-engine", pair_block_engine(&prog, base())),
-                    ("chain", pair_chain(&prog, base())),
-                    ("trace-sink", pair_trace_sink(&prog, base())),
-                    ("restore", pair_restore(&prog, base())),
-                    ("fork", pair_fork(&prog, base())),
-                    ("ring", pair_ring(&ring, base())),
-                ] {
-                    assert!(out.clean(), "seed {seed} {variant:?} pair {name} failed:\n{:#?}", out);
+                for (name, out) in run_machine_pairs(seed, variant, base()) {
+                    assert!(out.clean(), "seed {seed} {variant:?} pair {name} failed:\n{out:#?}");
                 }
             }
         }
     }
 
     #[test]
-    fn lockstep_detects_a_seeded_ring_switch_bug() {
-        // A machine that skips the TSS.esp0 switch writes interrupt
-        // frames to the *user* stack; lockstep against a correct
-        // machine must catch the difference (the memory digest sees
-        // the frame bytes land on the wrong page even when registers
-        // happen to reconverge).
-        let cfg = MachineConfig::default();
+    fn seeded_bugs_are_caught() {
         for seed in [0u64, 1, 2] {
-            let prog = crate::gen::generate_ring(seed, Variant::Clean);
-            let mut a = install(&prog, cfg);
-            let mut b = install(&prog, MachineConfig { ring_switch_bug: true, ..cfg });
-            let out = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-            assert!(
-                out.divergence.is_some(),
-                "seed {seed}: ring pair MISSED the seeded stack-switch bug"
-            );
-        }
-    }
-
-    #[test]
-    fn smp_pairs_agree_on_a_sample() {
-        for seed in [0u64, 1, 2, 5] {
-            for variant in [Variant::Clean, Variant::PreFlip, Variant::MidRunFlip] {
-                let smp = crate::gen::generate_smp(seed, variant);
-                let out = pair_smp(&smp, base());
-                assert!(out.clean(), "seed {seed} {variant:?} pair smp failed:\n{out:#?}");
-                let prog = generate(seed, variant);
-                let out = pair_smp_parked(&prog, base());
-                assert!(out.clean(), "seed {seed} {variant:?} pair smp-parked failed:\n{out:#?}");
+            for (what, result) in seeded_bug_self_tests(seed) {
+                assert_eq!(result, Ok(()), "seed {seed}: {what}");
             }
         }
     }
@@ -811,25 +773,6 @@ mod tests {
             delivered += m.counters().ipis;
         }
         assert!(delivered > 0, "no seed delivered a reschedule doorbell");
-    }
-
-    #[test]
-    fn lockstep_detects_a_seeded_dropped_ipi() {
-        // A machine that loses reschedule IPIs leaves CPU 1 grinding
-        // through its bounded loop long after the correct machine's
-        // CPU 1 took the doorbell and halted; the smp digest (and
-        // eventually the shared word) must diverge.
-        let cfg = MachineConfig::default();
-        for seed in [0u64, 1, 2] {
-            let prog = crate::gen::generate_smp(seed, Variant::Clean);
-            let mut a = install(&prog, cfg);
-            let mut b = install(&prog, MachineConfig { ipi_drop_bug: true, ..cfg });
-            let out = run_lockstep(&mut a, &mut b, &prog, &StateMask::full());
-            assert!(
-                out.divergence.is_some(),
-                "seed {seed}: smp pair MISSED the seeded dropped-IPI bug"
-            );
-        }
     }
 
     #[test]

@@ -409,7 +409,7 @@ pub fn generate_ring(seed: u64, variant: Variant) -> GenProgram {
 /// doorbell delivery. CPU 1's routine mutates the shared word at
 /// [`SMP_SHARED`] in a bounded loop with interrupts on — if the
 /// doorbell never lands (a machine with
-/// [`MachineConfig::ipi_drop_bug`](kfi_machine::MachineConfig) drops
+/// [`SeededBugs::ipi_drop`](kfi_machine::SeededBugs) drops
 /// it) the loop runs visibly longer, so a missed IPI can't hide from
 /// the lockstep digests. Paging alternates by seed parity like
 /// [`generate`]; corruption variants flip bits in the bootstrap CPU's

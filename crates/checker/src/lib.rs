@@ -17,11 +17,11 @@
 //!   interleaves with it under the deterministic round-robin
 //!   scheduler, and stops it with a reschedule doorbell;
 //! * a **lockstep differential executor** ([`diff`]) running each
-//!   program under paired configurations that must agree — decode
-//!   cache on/off, basic-block engine vs single-step, block chaining
-//!   on vs off, ring/null trace sink, snapshot-restore vs fresh boot,
-//!   shared-snapshot copy-on-write fork vs fresh boot, the full
-//!   pipeline vs the bare interpreter across ring transitions
+//!   program under paired configurations that must agree
+//!   ([`diff::MACHINE_PAIRS`]) — decode cache on/off, block tier vs
+//!   single-step, ring/null trace sink, snapshot-restore vs fresh boot,
+//!   shared-snapshot copy-on-write fork vs fresh boot, the block tier
+//!   vs the bare interpreter across ring transitions
 //!   ([`diff::pair_ring`]), decode cache on/off on a two-CPU machine
 //!   ([`diff::pair_smp`]), a two-CPU machine with a never-woken
 //!   secondary vs the plain uniprocessor ([`diff::pair_smp_parked`]) —
@@ -33,17 +33,18 @@
 //!   ([`kfi_machine::sanitizer`], opt-in via
 //!   [`MachineConfig::sanitizer`](kfi_machine::MachineConfig) and
 //!   enabled on the checker's sweep machines — campaigns opt in
-//!   through `RigConfig::sanitizer` instead), which validates per-step
+//!   through `RigConfig::machine` instead), which validates per-step
 //!   invariants no differential pair can see (canonical EFLAGS,
 //!   monotonic TSC, CR2-iff-#PF, decode-cache coherence, MMU walk
-//!   idempotence). The block-engine pair is the one sweep that runs
-//!   *without* it: [`Machine::run`](kfi_machine::Machine::run) falls
-//!   back to single-stepping under the sanitizer, which would make
-//!   that comparison vacuous.
+//!   idempotence). The block-engine and ring pairs run *without* it:
+//!   the sanitizer demotes the block tier to single-stepping
+//!   ([`MachineConfig::effective_tier`](kfi_machine::MachineConfig::effective_tier)),
+//!   which would make those comparisons vacuous.
 //!
 //! The `check_machine` binary drives a bounded deterministic seed sweep
-//! suitable for CI, plus three self-tests that seed known bugs behind
-//! test-only [`MachineConfig`](kfi_machine::MachineConfig) hooks — a
+//! suitable for CI, plus three self-tests
+//! ([`diff::seeded_bug_self_tests`]) that seed known bugs behind the
+//! test-only [`SeededBugs`](kfi_machine::SeededBugs) hooks — a
 //! broken ALU flag writer the sanitizer must catch, a skipped
 //! TSS.esp0 stack switch the ring-transition lockstep must catch, and
 //! a dropped reschedule IPI the SMP lockstep must catch — proof the
@@ -69,8 +70,9 @@ pub mod diff;
 pub mod gen;
 
 pub use diff::{
-    pair_block_engine, pair_chain, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
-    pair_smp_parked, pair_trace_sink, run_lockstep, ArchState, Divergence, PairOutcome, StateMask,
+    pair_block_engine, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
+    pair_smp_parked, pair_trace_sink, run_lockstep, run_machine_pairs, seeded_bug_self_tests,
+    ArchState, Divergence, MachinePair, PairOutcome, Program, StateMask, MACHINE_PAIRS,
 };
 pub use gen::{
     generate, generate_ring, generate_smp, install, GenProgram, MidFlip, RingSetup, SmpSetup,

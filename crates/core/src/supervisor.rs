@@ -32,14 +32,6 @@
 //!   wall-clock budget via the machine's cooperative abort flag,
 //!   degrading simulator-level livelock (which the in-guest cycle
 //!   budget cannot see) into an ordinary hang-classified record.
-//! * **Batched scheduling** — workers claim jobs in adaptive chunks
-//!   (one queue-lock round-trip per chunk, chunks shrinking toward the
-//!   campaign tail so the last jobs still load-balance) and report
-//!   completions one chunk at a time through a single
-//!   order-lock/journal-drain/done-lock round-trip. Granularity never
-//!   reaches the dataset: the reorder buffer emits journal frames in
-//!   plan-index order whatever the batch size, so bytes stay identical
-//!   to the one-at-a-time scheduler's.
 
 use crate::experiment::{CampaignResult, Experiment, StudyResult};
 use crate::journal::{Journal, JournalEntry};
@@ -422,33 +414,6 @@ impl JournalOrder {
     }
 }
 
-/// Upper bound on jobs claimed per queue-lock acquisition (and on
-/// completions buffered per report flush). Small enough that an
-/// interrupted campaign re-runs at most a handful of unjournaled runs
-/// on resume, large enough to amortize the claim/report locking that
-/// was one lock round-trip per job.
-pub(crate) const CLAIM_BATCH_MAX: usize = 8;
-
-/// Claims a chunk of jobs under one queue-lock acquisition. The chunk
-/// shrinks as the queue drains (`len / 2·workers`, floor 1) so the tail
-/// of a campaign still load-balances: the last few jobs are handed out
-/// one at a time instead of letting one worker hoard them.
-fn claim_batch(
-    queue: &Mutex<std::collections::VecDeque<Job>>,
-    threads: usize,
-) -> std::collections::VecDeque<Job> {
-    let mut q = queue.lock().expect("queue lock");
-    let take = (q.len() / (2 * threads.max(1))).clamp(1, CLAIM_BATCH_MAX);
-    let mut out = std::collections::VecDeque::with_capacity(take);
-    for _ in 0..take {
-        match q.pop_front() {
-            Some(j) => out.push_back(j),
-            None => break,
-        }
-    }
-    out
-}
-
 /// Shared mutable campaign state.
 struct Shared<'a> {
     queue: Mutex<std::collections::VecDeque<Job>>,
@@ -459,71 +424,43 @@ struct Shared<'a> {
 
 impl Shared<'_> {
     fn finish(&self, done: JobDone) {
-        self.finish_batch(vec![done]);
-    }
-
-    /// Reports a chunk of completions under one order-lock + one
-    /// journal drain + one done-lock, instead of one round-trip of
-    /// each per job. Determinism is untouched: the reorder buffer
-    /// already emits journal frames in plan-index order whatever the
-    /// arrival granularity, and the final dataset is sorted by index.
-    fn finish_batch(&self, batch: Vec<JobDone>) {
-        if batch.is_empty() {
-            return;
-        }
         if let Some(j) = self.journal {
+            let entry = JournalEntry {
+                campaign: done.record.target.campaign.letter(),
+                index: done.index,
+                record: done.record.clone(),
+                metrics: done.metrics.clone(),
+            };
             let mut order = self.order.lock().expect("journal order lock");
-            for done in &batch {
-                let entry = JournalEntry {
-                    campaign: done.record.target.campaign.letter(),
-                    index: done.index,
-                    record: done.record.clone(),
-                    metrics: done.metrics.clone(),
-                };
-                order.held.insert(done.index, entry);
-            }
+            order.held.insert(done.index, entry);
             order.drain(&mut j.lock().expect("journal lock"));
         }
-        self.done.lock().expect("done lock").extend(batch);
+        self.done.lock().expect("done lock").push(done);
     }
 }
 
-/// One worker: drains the queue in adaptive batches until empty or its
-/// rig becomes unbuildable (then its unprocessed jobs flow back to the
-/// survivors).
+/// One worker: drains the queue one job at a time until empty or its
+/// rig becomes unbuildable (then its jobs flow to the survivors).
 fn worker_loop(
     exp: &Experiment,
     cfg: &SupervisorConfig,
     shared: &Shared<'_>,
     slot: &WatchSlot,
-    threads: usize,
 ) -> bool {
     let mut rig: Option<InjectorRig> = None;
     loop {
-        let mut local = claim_batch(&shared.queue, threads);
-        if local.is_empty() {
-            return true;
-        }
-        let mut pending: Vec<JobDone> = Vec::with_capacity(local.len());
-        while let Some(job) = local.pop_front() {
-            match process_job(exp, cfg, &job, &mut rig, slot) {
-                Ok(done) => pending.push(done),
-                Err(()) => {
-                    // Rig unbuildable: give back the failed job and the
-                    // whole unprocessed remainder (original order),
-                    // flush what did complete, and die.
-                    let mut q = shared.queue.lock().expect("queue lock");
-                    for j in local.into_iter().rev() {
-                        q.push_front(j);
-                    }
-                    q.push_front(job);
-                    drop(q);
-                    shared.finish_batch(pending);
-                    return false;
-                }
+        let job = match shared.queue.lock().expect("queue lock").pop_front() {
+            Some(j) => j,
+            None => return true,
+        };
+        match process_job(exp, cfg, &job, &mut rig, slot) {
+            Ok(done) => shared.finish(done),
+            Err(()) => {
+                // Rig unbuildable: give the job back and die.
+                shared.queue.lock().expect("queue lock").push_front(job);
+                return false;
             }
         }
-        shared.finish_batch(pending);
     }
 }
 
@@ -714,10 +651,8 @@ fn run_plan_inner(
     let mut workers_lost = 0usize;
 
     std::thread::scope(|s| {
-        let handles: Vec<_> = slots
-            .iter()
-            .map(|slot| s.spawn(|| worker_loop(exp, cfg, &shared, slot, threads)))
-            .collect();
+        let handles: Vec<_> =
+            slots.iter().map(|slot| s.spawn(|| worker_loop(exp, cfg, &shared, slot))).collect();
         let slots = &slots;
         let watchdog_stop = &watchdog_stop;
         let watchdog = cfg.wall_budget.map(|budget| {

@@ -1,21 +1,25 @@
-//! Golden-outcome equivalence: the decoded-instruction cache (and the
-//! dirty-page restore it rides with) must not change a single campaign
-//! result. A full small campaign with the cache off is the reference;
-//! with the cache on — at any worker count — every record and every
-//! metric except the cache's own counters must be bit-identical.
+//! Golden-outcome equivalence: the execution tier must not change a
+//! single campaign result. A full small campaign at
+//! [`ExecTier::Interp`] (no decode cache, no blocks) is the reference;
+//! at every tier — and at any worker count — every record and every
+//! metric except the caches' own counters must be bit-identical.
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
+use kfi_machine::{ExecTier, MachineConfig};
 use kfi_profiler::ProfilerConfig;
 use kfi_trace::Metrics;
 
-fn campaign(decode_cache: bool, threads: usize) -> (Vec<kfi_injector::RunRecord>, Metrics) {
+fn campaign(tier: ExecTier, threads: usize) -> (Vec<kfi_injector::RunRecord>, Metrics) {
     let exp = Experiment::prepare(ExperimentConfig {
         seed: 11,
         max_per_function: Some(2),
         threads,
         profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
-        rig: RigConfig { decode_cache, ..Default::default() },
+        rig: RigConfig {
+            machine: MachineConfig { tier, ..MachineConfig::default() },
+            ..Default::default()
+        },
         ..Default::default()
     })
     .expect("prepare");
@@ -23,11 +27,10 @@ fn campaign(decode_cache: bool, threads: usize) -> (Vec<kfi_injector::RunRecord>
     (r.records, r.metrics)
 }
 
-/// Zeroes the counters that are *about* the cache itself — the only
-/// fields allowed to differ between cached and uncached execution.
-/// Turning the decode cache off also disables the block engine (blocks
-/// validate against decode-cache entries), so the block counters go
-/// from nonzero to zero with it and are masked the same way.
+/// Zeroes the counters that are *about* the caches themselves — the
+/// only fields allowed to differ between tiers: the decode-cache
+/// counters (zero at `Interp`) and the block and chain counters (zero
+/// below `Blocks`).
 fn without_cache_counters(m: &Metrics) -> Metrics {
     let mut m = m.clone();
     m.decode_hits = 0;
@@ -44,23 +47,39 @@ fn without_cache_counters(m: &Metrics) -> Metrics {
 
 #[test]
 fn cached_campaign_is_bit_identical_to_uncached() {
-    let (rec_off, met_off) = campaign(false, 1);
-    assert_eq!(met_off.decode_hits, 0, "disabled cache must count nothing");
-    assert_eq!(met_off.decode_misses, 0);
-    assert!(met_off.runs > 0);
+    let (rec_ref, met_ref) = campaign(ExecTier::Interp, 1);
+    assert_eq!(met_ref.decode_hits, 0, "the interpreter must count no decode-cache traffic");
+    assert_eq!(met_ref.decode_misses, 0);
+    assert_eq!(met_ref.block_hits, 0, "the interpreter runs no blocks");
+    assert!(met_ref.runs > 0);
 
-    for threads in [1, 2] {
-        let (rec_on, met_on) = campaign(true, threads);
-        assert_eq!(rec_off, rec_on, "records diverged with cache on ({threads} threads)");
-        assert!(met_on.decode_hits > 0, "the cache must actually be exercised");
-        assert!(met_on.block_hits > 0, "the block engine must actually be exercised");
-        assert!(met_on.block_chain_follows > 0, "chaining must actually be exercised");
-        assert_eq!(met_off.block_hits, 0, "no decode cache implies no block engine");
-        assert_eq!(met_off.block_chain_links, 0, "no block engine implies no chaining");
-        assert_eq!(
-            without_cache_counters(&met_off),
-            without_cache_counters(&met_on),
-            "metrics diverged with cache on ({threads} threads)"
-        );
+    for tier in [ExecTier::Interp, ExecTier::Decoded, ExecTier::Blocks] {
+        for threads in [1, 2] {
+            if (tier, threads) == (ExecTier::Interp, 1) {
+                continue; // the reference itself
+            }
+            let (rec, met) = campaign(tier, threads);
+            assert_eq!(rec_ref, rec, "records diverged at {tier:?} ({threads} threads)");
+            assert_eq!(
+                met.decode_hits > 0,
+                tier != ExecTier::Interp,
+                "the decode cache runs exactly above Interp ({tier:?})"
+            );
+            assert_eq!(
+                met.block_hits > 0,
+                tier == ExecTier::Blocks,
+                "blocks run exactly at Blocks ({tier:?})"
+            );
+            assert_eq!(
+                met.block_chain_follows > 0,
+                tier == ExecTier::Blocks,
+                "chaining runs exactly at Blocks ({tier:?})"
+            );
+            assert_eq!(
+                without_cache_counters(&met_ref),
+                without_cache_counters(&met),
+                "metrics diverged at {tier:?} ({threads} threads)"
+            );
+        }
     }
 }

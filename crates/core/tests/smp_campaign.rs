@@ -9,6 +9,7 @@ use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
+use kfi_machine::MachineConfig;
 use kfi_profiler::ProfilerConfig;
 use std::path::PathBuf;
 
@@ -18,7 +19,10 @@ fn smp_experiment(threads: usize) -> Experiment {
         max_per_function: Some(1),
         threads,
         kernel: KernelBuildOptions { smp: true, ..KernelBuildOptions::default() },
-        rig: RigConfig { cpus: 2, ..RigConfig::default() },
+        rig: RigConfig {
+            machine: MachineConfig { cpus: 2, ..MachineConfig::default() },
+            ..RigConfig::default()
+        },
         profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
         ..Default::default()
     })

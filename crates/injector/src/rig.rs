@@ -31,21 +31,6 @@ pub struct RigConfig {
     /// subtracted from raw crash latencies (paper §5.3). The trap
     /// delivery itself costs a fixed 40 cycles in the machine model.
     pub switch_overhead: u64,
-    /// Whether the machine's decoded-instruction cache is enabled
-    /// (default true; the off position is the reference path for the
-    /// cached-vs-uncached equivalence tests).
-    pub decode_cache: bool,
-    /// Whether the machine's basic-block execution engine is enabled
-    /// (default true; takes effect only together with `decode_cache` —
-    /// see [`kfi_machine::MachineConfig::block_engine`]). Campaign
-    /// results, including the golden CSV, are bit-identical either way.
-    pub block_engine: bool,
-    /// Whether the block engine chains block exits and validates
-    /// translations once per entry (default true; takes effect only
-    /// together with `block_engine` — see
-    /// [`kfi_machine::MachineConfig::block_chain`]). Campaign results,
-    /// including the golden CSV, are bit-identical either way.
-    pub block_chain: bool,
     /// Cycle budget for reaching the post-boot snapshot point. Booting
     /// past this without the runner announcing itself is a clean
     /// [`RigError::BootFailed`], not a wedged rig.
@@ -57,18 +42,16 @@ pub struct RigConfig {
     /// takes exactly this many cycles still succeeds (the boundary is
     /// pinned by `tests/budgets.rs`).
     pub golden_budget: u64,
-    /// Whether the machine's per-step architectural-state sanitizer is
-    /// enabled (see [`kfi_machine::MachineConfig::sanitizer`]).
-    /// Violations observed during a run are counted into
-    /// [`RunRecord::sanitizer_violations`] and the rig metrics.
-    pub sanitizer: bool,
-    /// Number of guest CPUs (see [`kfi_machine::MachineConfig::cpus`]).
-    /// The default 1 is the golden-corpus configuration — the machine
-    /// is structurally identical to the pre-SMP uniprocessor. Values
-    /// above 1 only bring application processors online when the
-    /// kernel was built with [`kfi_kernel::KernelBuildOptions::smp`];
-    /// the CPU count joins the golden-store fingerprint either way.
-    pub cpus: u32,
+    /// The machine every boot, fork and severity reboot runs on.
+    /// Campaign results, golden CSV included, are bit-identical at
+    /// every [`tier`](MachineConfig::tier). With the
+    /// [`sanitizer`](MachineConfig::sanitizer) on, violations observed
+    /// during a run are counted into [`RunRecord::sanitizer_violations`]
+    /// and the rig metrics. The default `cpus = 1` is the golden-corpus
+    /// configuration; values above 1 only bring application processors
+    /// online when the kernel was built with
+    /// [`kfi_kernel::KernelBuildOptions::smp`].
+    pub machine: MachineConfig,
 }
 
 impl Default for RigConfig {
@@ -77,13 +60,9 @@ impl Default for RigConfig {
             budget_factor: 6,
             budget_slack: 2_000_000,
             switch_overhead: 0,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
             boot_budget: 80_000_000,
             golden_budget: 400_000_000,
-            sanitizer: false,
-            cpus: 1,
+            machine: MachineConfig::default(),
         }
     }
 }
@@ -143,25 +122,18 @@ impl std::fmt::Display for RigError {
 
 impl std::error::Error for RigError {}
 
-/// 64-bit FNV-1a.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 { 0xcbf2_9ce4_8422_2325 } else { seed };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A campaign-wide memo of golden (fault-free) reference runs, keyed by
-/// `(kernel-config fingerprint, workload mode)`.
+/// workload mode.
 ///
 /// The paper's per-injection key is `(function, workload,
 /// kernel-config)`; the function dimension collapses here because a
 /// golden run never arms a breakpoint and never flips a bit — its
 /// outcome is independent of which function the campaign will later
-/// inject into, so one capture serves every function. What remains is
-/// one entry per workload mode per kernel configuration.
+/// inject into, so one capture serves every function. The
+/// kernel-config dimension collapses structurally: each [`RigShared`]
+/// owns its own store, and one base is one kernel image, one post-boot
+/// disk and one [`RigConfig`]. What remains is one entry per workload
+/// mode.
 ///
 /// Each entry is captured **exactly once** across all workers: the
 /// first rig to ask runs the capture; concurrent askers block on the
@@ -171,24 +143,24 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 #[derive(Default)]
 pub struct GoldenStore {
     #[allow(clippy::type_complexity)]
-    entries: Mutex<BTreeMap<(u64, u32), Arc<OnceLock<Result<Arc<GoldenRun>, RigError>>>>>,
+    entries: Mutex<BTreeMap<u32, Arc<OnceLock<Result<Arc<GoldenRun>, RigError>>>>>,
     hits: AtomicU64,
     captures: AtomicU64,
 }
 
 impl GoldenStore {
-    /// Returns the memoized golden run for `key`, running `capture` to
+    /// Returns the memoized golden run for `mode`, running `capture` to
     /// produce it if this is the first request. Concurrent first
-    /// requests for the same key execute `capture` once; the losers
+    /// requests for the same mode execute `capture` once; the losers
     /// block until the winner finishes.
     pub fn get_or_capture(
         &self,
-        key: (u64, u32),
+        mode: u32,
         capture: impl FnOnce() -> Result<GoldenRun, RigError>,
     ) -> Result<Arc<GoldenRun>, RigError> {
         let cell = {
             let mut entries = self.entries.lock().expect("golden store lock");
-            entries.entry(key).or_default().clone()
+            entries.entry(mode).or_default().clone()
         };
         let mut ran = false;
         let result = cell.get_or_init(|| {
@@ -234,15 +206,8 @@ fn boot_base(
 ) -> Result<BootedBase, RigError> {
     let fsimg = kfi_kernel::mkfs(2048, files);
     let manifest = fsimg.manifest.clone();
-    let boot_config = BootConfig {
-        decode_cache: config.decode_cache,
-        block_engine: config.block_engine,
-        block_chain: config.block_chain,
-        sanitizer: config.sanitizer,
-        cpus: config.cpus,
-        ..Default::default()
-    };
-    let mut m = boot(image, fsimg.disk, &boot_config);
+    let mut m =
+        boot(image, fsimg.disk, &BootConfig { machine: config.machine, ..Default::default() });
 
     // Run to the snapshot point: the runner announcing itself (all
     // of init's own risky setup — fork, exec, file reads — is behind
@@ -288,13 +253,11 @@ fn boot_base(
 pub struct RigShared {
     image: KernelImage,
     config: RigConfig,
-    machine_config: MachineConfig,
     snapshot: Snapshot,
     boot_cycles: u64,
     post_boot_disk: Arc<Vec<u8>>,
     manifest: BTreeMap<String, (u32, u32)>,
     n_modes: u32,
-    fingerprint: u64,
     store: GoldenStore,
 }
 
@@ -314,37 +277,14 @@ impl RigShared {
         config: RigConfig,
     ) -> Result<Arc<RigShared>, RigError> {
         let base = boot_base(&image, files, config)?;
-        // Fingerprint the kernel-config dimension of the golden key:
-        // everything the golden run's outcome could depend on — the
-        // kernel image, the post-boot filesystem, and the execution
-        // configuration. Seeded per field so reordering can't collide.
-        let mut fp = fnv1a(0, &image.entry.to_le_bytes());
-        fp = fnv1a(fp, &image.program.text.base.to_le_bytes());
-        fp = fnv1a(fp, &image.program.text.bytes);
-        fp = fnv1a(fp, &image.program.data.bytes);
-        fp = fnv1a(fp, &base.post_boot_disk);
-        fp = fnv1a(
-            fp,
-            &[
-                config.decode_cache as u8,
-                config.block_engine as u8,
-                config.block_chain as u8,
-                config.sanitizer as u8,
-            ],
-        );
-        fp = fnv1a(fp, &config.cpus.to_le_bytes());
-        fp = fnv1a(fp, &n_modes.to_le_bytes());
-        let machine_config = *base.machine.config();
         Ok(Arc::new(RigShared {
             image,
             config,
-            machine_config,
             snapshot: base.snapshot,
             boot_cycles: base.boot_cycles,
             post_boot_disk: base.post_boot_disk,
             manifest: base.manifest,
             n_modes,
-            fingerprint: fp,
             store: GoldenStore::default(),
         }))
     }
@@ -477,19 +417,19 @@ impl InjectorRig {
     /// Forks a rig off a shared post-boot base: a private copy-on-write
     /// machine built from the shared snapshot, with golden runs
     /// resolved through the base's [`GoldenStore`] (captured on first
-    /// request per `(kernel-config, mode)` key, shared afterwards).
+    /// request per mode, shared afterwards).
     ///
     /// Observationally identical to [`InjectorRig::new`] with the same
     /// image/files/config — same records, metrics, trace events — but
     /// the boot happens once per base and each golden run once per
-    /// store key, instead of once per rig.
+    /// mode, instead of once per rig.
     ///
     /// # Errors
     ///
     /// [`RigError::GoldenFailed`] when a golden capture fails (memoized:
     /// every fork sharing the store sees the same error).
     pub fn fork(shared: &Arc<RigShared>) -> Result<InjectorRig, RigError> {
-        let mut machine = Machine::fork(&shared.snapshot, shared.machine_config);
+        let mut machine = Machine::fork(&shared.snapshot, shared.config.machine);
         // The disk forks copy-on-write off the shared post-boot image,
         // just like physical memory forks off the snapshot: per-run
         // resets then copy only the sectors the run wrote.
@@ -506,9 +446,7 @@ impl InjectorRig {
             metrics: Metrics::default(),
         };
         for mode in 0..shared.n_modes {
-            let g = shared
-                .store
-                .get_or_capture((shared.fingerprint, mode), || rig.capture_golden(mode))?;
+            let g = shared.store.get_or_capture(mode, || rig.capture_golden(mode))?;
             rig.golden.push(g);
         }
         Ok(rig)
@@ -1002,7 +940,7 @@ impl InjectorRig {
         let boots = {
             let m = &mut self.machine;
             m.disk = Some(Ramdisk::from_bytes(disk));
-            kfi_kernel::load_into(m, &self.image, &BootConfig::default());
+            kfi_kernel::load_into(m, &self.image, BootConfig::default().run_mode);
             let budget = self.boot_cycles * 4 + 1_000_000;
             let exit = m.run(budget);
             match exit {
@@ -1044,15 +982,13 @@ mod tests {
     #[test]
     fn golden_store_captures_each_key_exactly_once() {
         let store = GoldenStore::default();
-        let a = store.get_or_capture((1, 0), || Ok(dummy_golden(0))).unwrap();
-        let b = store.get_or_capture((1, 0), || panic!("second request must not capture")).unwrap();
+        let a = store.get_or_capture(0, || Ok(dummy_golden(0))).unwrap();
+        let b = store.get_or_capture(0, || panic!("second request must not capture")).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "both callers share one GoldenRun");
-        let c = store.get_or_capture((1, 1), || Ok(dummy_golden(1))).unwrap();
+        let c = store.get_or_capture(1, || Ok(dummy_golden(1))).unwrap();
         assert_eq!(c.mode, 1);
-        // A different config fingerprint is a different key.
-        let d = store.get_or_capture((2, 0), || Ok(dummy_golden(0))).unwrap();
-        assert!(!Arc::ptr_eq(&a, &d));
-        assert_eq!(store.captures(), 3);
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(store.captures(), 2);
         assert_eq!(store.hits(), 1);
     }
 
@@ -1060,14 +996,11 @@ mod tests {
     fn golden_store_memoizes_failures_too() {
         let store = GoldenStore::default();
         let err = store
-            .get_or_capture((7, 0), || {
-                Err(RigError::GoldenFailed { mode: 0, console: "boom".into() })
-            })
+            .get_or_capture(0, || Err(RigError::GoldenFailed { mode: 0, console: "boom".into() }))
             .unwrap_err();
         assert!(matches!(err, RigError::GoldenFailed { mode: 0, .. }));
-        let again = store
-            .get_or_capture((7, 0), || panic!("failure is memoized, not retried"))
-            .unwrap_err();
+        let again =
+            store.get_or_capture(0, || panic!("failure is memoized, not retried")).unwrap_err();
         assert!(matches!(again, RigError::GoldenFailed { mode: 0, .. }), "{again}");
         assert_eq!(store.captures(), 1);
         assert_eq!(store.hits(), 1);
@@ -1084,7 +1017,7 @@ mod tests {
                     let captures = Arc::clone(&captures);
                     s.spawn(move || {
                         store
-                            .get_or_capture((9, 0), || {
+                            .get_or_capture(0, || {
                                 captures.fetch_add(1, Ordering::Relaxed);
                                 Ok(dummy_golden(0))
                             })
@@ -1100,13 +1033,5 @@ mod tests {
         for r in &runs[1..] {
             assert!(Arc::ptr_eq(&runs[0], r));
         }
-    }
-
-    #[test]
-    fn fnv1a_is_order_sensitive() {
-        let a = fnv1a(fnv1a(0, b"ab"), b"c");
-        let b = fnv1a(fnv1a(0, b"a"), b"bc");
-        assert_eq!(a, b, "fnv over concatenation is associative");
-        assert_ne!(fnv1a(0, b"abc"), fnv1a(0, b"acb"));
     }
 }

@@ -79,8 +79,9 @@ fn default_budgets_match_the_former_magic_numbers() {
     let d = RigConfig::default();
     assert_eq!(d.boot_budget, 80_000_000);
     assert_eq!(d.golden_budget, 400_000_000);
-    assert!(!d.sanitizer);
-    assert_eq!(d.cpus, 1, "golden corpora are captured on a uniprocessor");
+    assert_eq!(d.machine, kfi_machine::MachineConfig::default());
+    assert!(!d.machine.sanitizer);
+    assert_eq!(d.machine.cpus, 1, "golden corpora are captured on a uniprocessor");
 }
 
 #[test]

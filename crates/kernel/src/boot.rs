@@ -12,39 +12,16 @@ pub struct BootConfig {
     /// Value placed in the boot-info `RUN_MODE` field (which workload
     /// `/init` executes; `0xFF` = run the whole suite).
     pub run_mode: u32,
-    /// Timer period in cycles.
-    pub timer_period: u64,
-    /// Whether the machine's decoded-instruction cache is enabled.
-    pub decode_cache: bool,
-    /// Whether the machine's basic-block execution engine is enabled
-    /// (see [`kfi_machine::MachineConfig::block_engine`]).
-    pub block_engine: bool,
-    /// Whether the block engine chains block exits and validates
-    /// translations once per entry
-    /// (see [`kfi_machine::MachineConfig::block_chain`]).
-    pub block_chain: bool,
-    /// Whether the machine's per-step architectural-state sanitizer is
-    /// enabled (see [`kfi_machine::MachineConfig::sanitizer`]).
-    pub sanitizer: bool,
-    /// Number of guest CPUs (see [`kfi_machine::MachineConfig::cpus`]).
-    /// With the default 1 the machine is structurally identical to the
-    /// pre-SMP uniprocessor. Values above 1 only bring application
-    /// processors online when the kernel was built with
+    /// The machine to boot on. Its defaults match the kernel layout
+    /// (8 MiB of memory, the timer on); `cpus` above 1 only brings
+    /// application processors online when the kernel was built with
     /// [`crate::KernelBuildOptions::smp`].
-    pub cpus: u32,
+    pub machine: MachineConfig,
 }
 
 impl Default for BootConfig {
     fn default() -> BootConfig {
-        BootConfig {
-            run_mode: 0xff,
-            timer_period: 50_000,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
-            sanitizer: false,
-            cpus: 1,
-        }
+        BootConfig { run_mode: 0xff, machine: MachineConfig::default() }
     }
 }
 
@@ -53,25 +30,16 @@ impl Default for BootConfig {
 /// On return the CPU sits at `start_kernel` in virtual address space
 /// with paging enabled; run it with [`Machine::run`].
 pub fn boot(image: &KernelImage, disk: Ramdisk, config: &BootConfig) -> Machine {
-    let mut m = Machine::new(MachineConfig {
-        phys_mem: layout::PHYS_MEM_SIZE,
-        timer_period: config.timer_period,
-        timer_enabled: true,
-        decode_cache: config.decode_cache,
-        block_engine: config.block_engine,
-        block_chain: config.block_chain,
-        sanitizer: config.sanitizer,
-        cpus: config.cpus,
-        ..MachineConfig::default()
-    });
+    let mut m = Machine::new(config.machine);
     m.disk = Some(disk);
-    load_into(&mut m, image, config);
+    load_into(&mut m, image, config.run_mode);
     m
 }
 
 /// (Re)loads the kernel into an existing machine: the reboot path. The
-/// machine's memory is wiped; the disk is left untouched.
-pub fn load_into(m: &mut Machine, image: &KernelImage, config: &BootConfig) {
+/// machine's memory is wiped; the disk is left untouched. `run_mode`
+/// is [`BootConfig::run_mode`].
+pub fn load_into(m: &mut Machine, image: &KernelImage, run_mode: u32) {
     m.mem.clear();
     m.clear_logs();
 
@@ -95,7 +63,7 @@ pub fn load_into(m: &mut Machine, image: &KernelImage, config: &BootConfig) {
     let bi = layout::BOOT_INFO_PHYS;
     m.mem.write_u32(bi + boot_info::PHYS_FREE_START, image.phys_free_start());
     m.mem.write_u32(bi + boot_info::PHYS_MEM_SIZE, layout::PHYS_MEM_SIZE);
-    m.mem.write_u32(bi + boot_info::RUN_MODE, config.run_mode);
+    m.mem.write_u32(bi + boot_info::RUN_MODE, run_mode);
     m.mem.write_u32(bi + boot_info::FLAGS, 0);
 
     // The SMP half of the reset first: make CPU0 the active context,
@@ -123,4 +91,14 @@ pub fn load_into(m: &mut Machine, image: &KernelImage, config: &BootConfig) {
 /// snapshot, before resuming).
 pub fn set_run_mode(m: &mut Machine, mode: u32) {
     m.mem.write_u32(layout::BOOT_INFO_PHYS + boot_info::RUN_MODE, mode);
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn default_machine_matches_the_kernel_layout() {
+        let m = super::BootConfig::default().machine;
+        assert_eq!(m.phys_mem, super::layout::PHYS_MEM_SIZE);
+        assert!(m.timer_enabled, "the kernel schedules off the timer");
+    }
 }

@@ -6,7 +6,7 @@ use kfi_kernel::{
     boot, build_kernel, build_with_runtime, fsck, mkfs, standard_fixtures, BootConfig, FileSpec,
     FsckReport, KernelBuildOptions,
 };
-use kfi_machine::{MonitorEvent, RunExit};
+use kfi_machine::{MachineConfig, MonitorEvent, RunExit};
 
 const BUDGET: u64 = 30_000_000;
 
@@ -77,7 +77,14 @@ fn smp_kernel_brings_secondary_cpu_online() {
     let mut files = standard_fixtures();
     files.push(FileSpec { path: "/init".into(), data: minimal_init(INIT_HELLO) });
     let fsimg = mkfs(2048, &files);
-    let mut m = boot(&image, fsimg.disk, &BootConfig { cpus: 2, ..Default::default() });
+    let mut m = boot(
+        &image,
+        fsimg.disk,
+        &BootConfig {
+            machine: MachineConfig { cpus: 2, ..Default::default() },
+            ..Default::default()
+        },
+    );
     let exit = m.run(BUDGET);
     let console = m.console_string();
     assert_eq!(exit, RunExit::Halted, "console:\n{console}");
@@ -119,7 +126,14 @@ buf: .long 0
     let mut files = standard_fixtures();
     files.push(FileSpec { path: "/init".into(), data: minimal_init(body) });
     let fsimg = mkfs(2048, &files);
-    let mut m = boot(&image, fsimg.disk, &BootConfig { cpus: 2, ..Default::default() });
+    let mut m = boot(
+        &image,
+        fsimg.disk,
+        &BootConfig {
+            machine: MachineConfig { cpus: 2, ..Default::default() },
+            ..Default::default()
+        },
+    );
     let exit = m.run(3_000_000);
     assert_eq!(exit, RunExit::CycleLimit, "console:\n{}", m.console_string());
     assert!(m.counters().ipis > 0, "no resched IPIs reached the idle BSP");
@@ -591,7 +605,7 @@ data: .long 0x55aa55aa
     assert_eq!(m.run(BUDGET), RunExit::Halted, "{}", m.console_string());
 
     // Reboot: wipe memory, keep the disk.
-    kfi_kernel::load_into(&mut m, &image, &BootConfig { run_mode: 1, ..Default::default() });
+    kfi_kernel::load_into(&mut m, &image, 1);
     assert_eq!(m.run(BUDGET), RunExit::Halted, "{}", m.console_string());
     assert!(
         m.monitor_events().iter().any(|(_, e)| matches!(e, MonitorEvent::Result(2))),

@@ -1,29 +1,20 @@
-//! Basic-block execution engine with trace recording and block
-//! chaining.
+//! Block execution engine: chained trace recording and replay, the
+//! [`ExecTier::Blocks`](crate::ExecTier) tier.
 //!
 //! The per-instruction decode cache removed the variable-length decoder
 //! from the hot loop but still dispatches one instruction at a time:
 //! every step pays the full run-loop ritual — deadline compare, abort
 //! poll, halted/triple-fault/breakpoint/timer checks — before a single
 //! cached instruction executes. This module extends the cache one level
-//! up, in two tiers selected by
-//! [`MachineConfig::block_chain`](crate::MachineConfig):
-//!
-//! * **Plain blocks** (chaining off): a **basic block** is a
-//!   straight-line run of decoded instructions on one physical page,
-//!   ending at the first control-flow or serializing instruction.
-//!   [`Machine::run`] executes block-at-a-time, hoisting the
-//!   watchdog/abort/timer checks to block boundaries.
-//! * **Chained traces** (chaining on): recording continues *through*
-//!   branches of any kind — direct, computed, across page boundaries —
-//!   forming a trace of the path actually executed, bounded by
-//!   [`MAX_BLOCK_INSNS`] and [`MAX_TRACE_PAGES`]. Exited traces link to
-//!   their successors ([`BlockCache::chain_next`]) so hot paths
-//!   dispatch block-to-block without returning to the run loop, and
-//!   replay validates its fetch translations *once per entry* instead
-//!   of once per instruction (see below). A quantum
-//!   ([`CHAIN_QUANTUM`]) bounds every chained segment so the abort
-//!   flag is polled as promptly as the single-step loop promises.
+//! up. Recording follows the path actually executed *through* branches
+//! of any kind — direct, computed, across page boundaries — forming a
+//! trace bounded by [`MAX_BLOCK_INSNS`] and [`MAX_TRACE_PAGES`]. Exited
+//! traces link to their successors ([`BlockCache::chain_next`]) so hot
+//! paths dispatch block-to-block without returning to the run loop, and
+//! replay validates its fetch translations *once per entry* instead of
+//! once per instruction (see below). A quantum ([`CHAIN_QUANTUM`])
+//! bounds every chained segment so the abort flag is polled as promptly
+//! as the single-step loop promises.
 //!
 //! # Correctness model
 //!
@@ -56,18 +47,16 @@
 //!   original, and any surprise (EIP divergence, generation bump,
 //!   conflict eviction, translation change) falls back to the careful
 //!   per-instruction path or exits to the full fetch machinery.
-//! * **Fallback conditions.** [`Machine::run`] only enters block mode
-//!   when the decode cache is on, the sanitizer is off (the
-//!   sanitizer's contract is *per-step* validation), and the machine
-//!   is a uniprocessor — on a `cpus > 1` machine `run` routes to the
-//!   single-stepping SMP scheduler loop instead, where quantum
-//!   boundaries, IPI delivery and per-CPU timers need per-step
-//!   precision; within block mode,
-//!   a pending timer tick, a halted CPU, a latched triple fault, or a
-//!   breakpoint match at the block head all route through the ordinary
-//!   [`Machine::step`] machinery. [`Machine::step`] itself never uses
-//!   blocks, so lockstep tools (the checker, golden-trace capture) see
-//!   unchanged per-step semantics.
+//! * **Fallback conditions.** [`Machine::run`] only executes blocks at
+//!   the `Blocks` tier on a uniprocessor — the sanitizer demotes the
+//!   tier (its contract is *per-step* validation), and on a `cpus > 1`
+//!   machine quantum boundaries, IPI delivery and per-CPU timers need
+//!   per-step precision. Even then, a pending timer tick, a halted CPU,
+//!   a latched triple fault, or a breakpoint match at the block head
+//!   routes that boundary through the ordinary [`Machine::step`]
+//!   machinery. [`Machine::step`] itself never uses blocks, so lockstep
+//!   tools (the checker, golden-trace capture) see unchanged per-step
+//!   semantics.
 //!
 //! [`Machine::run`]: crate::Machine::run
 //! [`Machine::step`]: crate::Machine::step
@@ -85,9 +74,7 @@ const PAGE_MASK: u32 = PAGE_SIZE - 1;
 /// replay cannot run arbitrarily far from a boundary check: the bound
 /// caps both how much the batched quantum can over-subtract and how
 /// long a divergence-free stretch may defer the dispatcher. Chained
-/// traces routinely hit the cap (kernel code re-enters the same loops),
-/// so the cap is sized for the chained engine and plain blocks simply
-/// never reach it (a straight-line run ends at the page edge first).
+/// traces routinely hit the cap (kernel code re-enters the same loops).
 const MAX_BLOCK_INSNS: usize = 128;
 
 /// Slot count (power of two). Blocks are sparser than instructions —
@@ -123,7 +110,7 @@ const MAX_TRACE_PAGES: usize = 8;
 /// ([`Machine::replay_block_fast`]).
 const MAX_TSC_PER_INSN: u64 = 151;
 
-/// True when `op` must end a *trace* (a chained-mode block): it can
+/// True when `op` must end a trace: it can
 /// change the privilege level or paging regime (`int`, `iret`, `lret`,
 /// `mov %cr`), halt, or trap to a handler. Everything else — including
 /// computed branches and `rep` string steps — may be recorded through:
@@ -144,38 +131,9 @@ fn chain_stops(op: &Op) -> bool {
     )
 }
 
-/// True when `op` must end a basic block: it writes EIP itself, can
-/// trap to a handler, serializes paging state, or pins EIP for `rep`
-/// resumption. Everything else falls through to `eip + len` and may be
-/// followed within the same block.
-fn ends_block(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Jcc { .. }
-            | Op::Jmp { .. }
-            | Op::JmpInd(_)
-            | Op::Call { .. }
-            | Op::CallInd(_)
-            | Op::Ret
-            | Op::RetImm(_)
-            | Op::Lret
-            | Op::Int(_)
-            | Op::Int3
-            | Op::Into
-            | Op::Iret
-            | Op::Ud2
-            | Op::Hlt
-            | Op::Str { .. }
-            | Op::MovToCr { .. }
-    )
-}
-
 /// A recorded run of decoded instructions.
 ///
-/// Without chaining a block is strictly straight-line on one physical
-/// page (PR 5 semantics: it ends at the first control-flow or
-/// serializing instruction). With chaining enabled, recording continues
-/// through branches of any kind — direct, computed (`ret`, indirect
+/// Recording continues through branches of any kind — direct, computed (`ret`, indirect
 /// `jmp`/`call`), across page boundaries, even pinned-EIP `rep` string
 /// iterations — forming a *trace* of the control-flow path actually
 /// taken. Each [`Step`] records the instruction's virtual and physical
@@ -257,7 +215,6 @@ pub(crate) struct BlockCache {
     slots: Vec<Slot>,
     epoch: u64,
     enabled: bool,
-    chain: bool,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -267,13 +224,12 @@ pub(crate) struct BlockCache {
 }
 
 impl BlockCache {
-    pub(crate) fn new(enabled: bool, chain: bool) -> BlockCache {
+    pub(crate) fn new(enabled: bool) -> BlockCache {
         BlockCache {
             // No allocation when disabled: a disabled cache costs nothing.
             slots: if enabled { vec![Slot::default(); SLOTS] } else { Vec::new() },
             epoch: 1,
             enabled,
-            chain: chain && enabled,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -285,10 +241,6 @@ impl BlockCache {
 
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    pub(crate) fn chain_enabled(&self) -> bool {
-        self.chain
     }
 
     /// Cumulative `(hits, misses, invalidations)`. A hit replayed a
@@ -310,37 +262,22 @@ impl BlockCache {
         self.epoch += 1;
     }
 
-    /// Looks up the block starting at physical address `pa`, validating
-    /// the entry against the page's current write generation (a block's
-    /// instructions were decoded from the page as it was at generation
-    /// `gen`; replaying them is only sound while that generation holds —
-    /// mid-block writes are caught by the per-instruction decode-cache
-    /// probe).
-    fn lookup(&mut self, pa: u32, mem: &PhysMem) -> Option<Arc<Block>> {
-        let slot = &self.slots[pa as usize & (SLOTS - 1)];
-        if slot.epoch == self.epoch && slot.pa == pa {
-            if slot.gen == mem.page_gen(pa) {
-                self.hits += 1;
-                return slot.block.clone();
-            }
-            self.invalidations += 1;
-        }
-        self.misses += 1;
-        None
-    }
-
     fn insert(&mut self, pa: u32, gen: u64, block: Block) {
         self.slots[pa as usize & (SLOTS - 1)] =
             Slot { pa, gen, epoch: self.epoch, block: Some(Arc::new(block)), links: [None; 2] };
     }
 
-    /// [`BlockCache::lookup`], but *moving* the block out of its slot
-    /// instead of cloning the `Arc`. The chained dispatch loop runs a
-    /// take / [`BlockCache::put_back`] bracket around every replay,
-    /// trading two reference-count updates per block entry for two
-    /// plain moves — nothing can touch the slot while the block is out
-    /// (replay never inserts, and flushes only happen between runs).
-    /// Counter behavior is identical to `lookup`.
+    /// Looks up the block starting at physical address `pa`, validating
+    /// the entry against the page's current write generation (a block's
+    /// instructions were decoded from the page as it was at generation
+    /// `gen`; replaying them is only sound while that generation holds —
+    /// later writes are caught by the per-instruction decode-cache
+    /// probe), and *moves* it out of its slot instead of cloning the
+    /// `Arc`. The dispatch loop runs a take / [`BlockCache::put_back`]
+    /// bracket around every replay, trading two reference-count updates
+    /// per block entry for two plain moves — nothing can touch the slot
+    /// while the block is out (replay never inserts, and flushes only
+    /// happen between runs).
     fn take(&mut self, pa: u32, mem: &PhysMem) -> Option<Arc<Block>> {
         let slot = &mut self.slots[pa as usize & (SLOTS - 1)];
         if slot.epoch == self.epoch && slot.pa == pa {
@@ -446,7 +383,7 @@ fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
             let fallthrough = eip.wrapping_add(u32::from(insn.len));
             ChainExit::Chain { dir: usize::from(m.cpu.eip == fallthrough) }
         }
-        ref op if !ends_block(op) => ChainExit::Chain { dir: 1 },
+        ref op if !chain_stops(op) => ChainExit::Chain { dir: 1 },
         _ => ChainExit::Stop,
     }
 }
@@ -484,13 +421,13 @@ impl FetchCtx {
 }
 
 impl Machine {
-    /// Executes one basic block (or records one while executing it) —
-    /// or, with chaining enabled, a whole segment of blocks linked by
-    /// statically-known exits.
+    /// Executes one segment of chained blocks, recording a new block
+    /// wherever a lookup misses.
     ///
-    /// The caller — the block-mode run loop — guarantees on entry: no
-    /// latched triple fault, CPU not halted, no pending timer tick, no
-    /// breakpoint match at the current EIP, and `tsc < deadline`.
+    /// The caller, [`Machine::run`](crate::Machine::run), guarantees on
+    /// entry: no latched triple fault, CPU not halted, no pending timer
+    /// tick, no breakpoint match at the current EIP, and
+    /// `tsc < deadline`.
     pub(crate) fn exec_block(&mut self, deadline: u64) {
         // Mid-block boundaries must stop wherever the single-step loop
         // would have intervened: the run deadline or the next timer
@@ -514,14 +451,6 @@ impl Machine {
         } else {
             eip0
         };
-        if !self.block_cache.chain_enabled() {
-            match self.block_cache.lookup(pa0, &self.mem) {
-                Some(block) => self.replay_block(&block, pa0, limit),
-                None => self.record_block(eip0, pa0, limit),
-            }
-            return;
-        }
-
         // Chained dispatch. Each iteration replays one cached block and,
         // when it exits over a statically-known edge, performs the exact
         // per-entry protocol the dispatch loop would have (instruction
@@ -607,9 +536,9 @@ impl Machine {
         Ok(pa)
     }
 
-    /// Chained-mode replay of one cached block: identical boundary
-    /// checks and counting to [`Machine::replay_block`], with the exit
-    /// classified for chaining.
+    /// Replays one cached block with the same boundary checks and
+    /// counting as single-stepping it, and classifies the exit for
+    /// chaining.
     ///
     /// The common case takes a *hot path* that hoists every
     /// per-instruction check it can prove vacuous up front:
@@ -854,12 +783,12 @@ impl Machine {
         block.pages.iter().all(|&(vpn, pfn)| self.tlb.fetch_maps_to(vpn, pfn, user))
     }
 
-    /// Reference-protocol chained replay, used when the hot path's
+    /// Reference-protocol replay, used when the hot path's
     /// preconditions fail (breakpoints armed) or its provably-safe
     /// prefix ends before the block does (the block could cross `limit`
-    /// mid-way): every boundary check runs per instruction from index
-    /// `start`, exactly like [`Machine::replay_block`]. Every path that
-    /// executes an instruction decrements `quantum`.
+    /// mid-way): every boundary check the single-step loop makes runs
+    /// per instruction from index `start`. Every path that executes an
+    /// instruction decrements `quantum`.
     #[cold]
     fn replay_block_careful(
         &mut self,
@@ -931,71 +860,17 @@ impl Machine {
         ChainExit::Stop // unreachable: blocks are never empty
     }
 
-    /// Replays a cached block, revalidating each instruction boundary
-    /// against the same conditions the single-step loop checks.
-    fn replay_block(&mut self, block: &Block, pa0: u32, limit: u64) {
-        let paging = self.cpu.paging();
-        // No guest instruction writes the debug registers (there is no
-        // mov-to-DR op), so whether a breakpoint is armed is constant
-        // for the whole block.
-        let bp_armed = self.cpu.dr7 != 0;
-        let mut expected_pa = pa0;
-        for (i, st) in block.steps.iter().enumerate() {
-            let insn = st.insn;
-            let eip = self.cpu.eip;
-            let pa = if i == 0 {
-                pa0 // already translated and counted by exec_block
-            } else {
-                if self.cpu.tsc >= limit {
-                    return;
-                }
-                if bp_armed && self.cpu.breakpoint_match(eip).is_some() {
-                    return;
-                }
-                self.counters.instructions += 1;
-                if paging {
-                    match self.xlate(eip, Access::Exec) {
-                        Ok(pa) => pa,
-                        Err(f) => return self.exec_fault(f),
-                    }
-                } else {
-                    eip
-                }
-            };
-            if pa != expected_pa || !self.decode_cache.probe(pa, &self.mem) {
-                // Translation discontinuity, page-generation bump from
-                // a mid-block store, or a decode-cache conflict
-                // eviction: complete this one instruction on the full
-                // single-step fetch path (which counts the miss or
-                // invalidation exactly as uncached execution would),
-                // then leave the block.
-                return self.exec_uncached_at(eip, pa);
-            }
-            // The probe proved the page generation is unchanged since
-            // this physical address was decoded, so the block's copy of
-            // the instruction equals a fresh decode of the live bytes.
-            self.decode_cache.count_hit();
-            expected_pa = pa.wrapping_add(u32::from(insn.len));
-            if let Err(f) = self.exec_insn(insn) {
-                return self.exec_fault(f);
-            }
-        }
-    }
-
     /// Executes instructions on the single-step fetch path while
-    /// recording them, until a terminator, fault, page boundary, cycle
-    /// limit, breakpoint, or the length cap ends the block. With
-    /// chaining enabled, branches of any kind — direct, computed
+    /// recording them, until a trace-ending instruction, fault, cycle
+    /// limit, breakpoint, full page set, or the length cap ends the
+    /// trace. Branches of any kind — direct, computed
     /// (`ret`/`jmp*`/`call*`), cross-page, even pinned-EIP `rep` string
     /// iterations — do *not* terminate recording: the block becomes a
     /// trace of the path actually taken, and replays verify each step
     /// against the recorded physical addresses and page generations
     /// before trusting it.
     fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64) {
-        let traces = self.block_cache.chain_enabled();
         let paging = self.cpu.paging();
-        let page = eip0 & !PAGE_MASK;
-        let page_pa = pa0 & !PAGE_MASK;
         let start_gen = self.mem.page_gen(pa0);
         let mut steps: Vec<Step> = Vec::with_capacity(MAX_BLOCK_INSNS);
         let mut pages: Vec<(u32, u32)> = Vec::new();
@@ -1018,7 +893,7 @@ impl Machine {
             // (the set is full) is executed but not recorded, ending
             // the trace like a page-straddler.
             let recordable = in_page
-                && (!traces || !paging || {
+                && (!paging || {
                     let pair = (eip >> 12, pa >> 12);
                     pages.contains(&pair)
                         || pages.len() < MAX_TRACE_PAGES && {
@@ -1050,20 +925,15 @@ impl Machine {
             // counts them): the replay's per-step physical-address
             // compare verifies live control flow still follows the
             // recorded path. Only privilege/regime changes, halts, and
-            // traps end a trace. Plain blocks keep the PR 5 rule.
-            let stop = if traces { chain_stops(&insn.op) } else { ends_block(&insn.op) };
-            if faulted || !recordable || stop || steps.len() >= MAX_BLOCK_INSNS {
+            // traps end a trace.
+            if faulted || !recordable || chain_stops(&insn.op) || steps.len() >= MAX_BLOCK_INSNS {
                 break;
             }
             // Next boundary: the same checks a cached replay performs.
-            // Plain blocks are single-virtual-page; traces may roam —
-            // the replay re-translates each step and compares against
-            // the recorded address, so the page is not a soundness
-            // boundary once per-step validation exists.
+            // Traces may roam across pages — the replay re-validates
+            // each step against the recorded address, so the page is
+            // not a soundness boundary.
             let neip = self.cpu.eip;
-            if !traces && neip & !PAGE_MASK != page {
-                break;
-            }
             if self.cpu.tsc >= limit {
                 break;
             }
@@ -1082,14 +952,6 @@ impl Machine {
             } else {
                 neip
             };
-            if !traces && npa != page_pa | (neip & PAGE_MASK) {
-                // The page's physical mapping changed under us (page
-                // tables edited mid-block): execute this instruction
-                // off-block and stop recording. (A trace just records
-                // the new address; replays verify it like any other.)
-                self.exec_uncached_at(neip, npa);
-                break;
-            }
             eip = neip;
             pa = npa;
         }
@@ -1144,60 +1006,60 @@ mod tests {
     }
 
     #[test]
-    fn terminator_classification() {
-        let term: &[&[u8]] = &[
-            &[0xeb, 0x00],       // jmp
-            &[0x74, 0x00],       // je
-            &[0xc3],             // ret
-            &[0xe8, 0, 0, 0, 0], // call
+    fn trace_stop_classification() {
+        let stop: &[&[u8]] = &[
             &[0xcf],             // iret
             &[0xf4],             // hlt
             &[0x0f, 0x0b],       // ud2
             &[0xcd, 0x80],       // int $0x80
-            &[0xf3, 0xa4],       // rep movsb
+            &[0xcc],             // int3
+            &[0xcb],             // lret
             &[0x0f, 0x22, 0xd8], // mov %ebx,%cr3
         ];
-        for bytes in term {
+        for bytes in stop {
             let i = decode(bytes).unwrap();
-            assert!(ends_block(&i.op), "{:?} must terminate a block", i.op);
+            assert!(chain_stops(&i.op), "{:?} must end a trace", i.op);
         }
-        let fall: &[&[u8]] = &[
-            &[0x90],       // nop
-            &[0x40],       // inc %eax
-            &[0xfa],       // cli
-            &[0xfb],       // sti
-            &[0x89, 0xd8], // mov %ebx,%eax
-            &[0x50],       // push %eax
+        let through: &[&[u8]] = &[
+            &[0xeb, 0x00],       // jmp
+            &[0x74, 0x00],       // je
+            &[0xc3],             // ret
+            &[0xe8, 0, 0, 0, 0], // call
+            &[0xf3, 0xa4],       // rep movsb
+            &[0x90],             // nop
+            &[0xfa],             // cli
+            &[0xfb],             // sti
+            &[0x50],             // push %eax
         ];
-        for bytes in fall {
+        for bytes in through {
             let i = decode(bytes).unwrap();
-            assert!(!ends_block(&i.op), "{:?} must not terminate a block", i.op);
+            assert!(!chain_stops(&i.op), "{:?} must be recorded through", i.op);
         }
     }
 
     #[test]
     fn cache_validates_generation_and_epoch() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true, true);
+        let mut c = BlockCache::new(true);
         let nop = decode(&[0x90]).unwrap();
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
-        assert!(c.lookup(0x1000, mem).is_some());
+        let b = c.take(0x1000, mem).expect("fresh entry hits");
+        c.put_back(0x1000, b);
         // Any write in the page kills the block...
         mem.write_u8(0x1fff, 0);
-        assert!(c.lookup(0x1000, mem).is_none());
+        assert!(c.take(0x1000, mem).is_none());
         // ...counted as an invalidation, not a plain miss.
         assert_eq!(c.stats(), (1, 1, 1));
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
         c.flush();
-        assert!(c.lookup(0x1000, mem).is_none());
+        assert!(c.take(0x1000, mem).is_none());
         assert_eq!(c.stats(), (1, 2, 1));
     }
 
     #[test]
     fn disabled_cache_allocates_nothing() {
-        let c = BlockCache::new(false, true);
+        let c = BlockCache::new(false);
         assert!(!c.enabled());
-        assert!(!c.chain_enabled(), "chaining requires the block cache");
         assert_eq!(c.slots.len(), 0);
         assert_eq!(c.stats(), (0, 0, 0));
         assert_eq!(c.chain_stats(), (0, 0, 0));
@@ -1206,14 +1068,14 @@ mod tests {
     #[test]
     fn chain_next_links_follows_and_breaks() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true, true);
+        let mut c = BlockCache::new(true);
         let nop = decode(&[0x90]).unwrap();
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
         c.insert(0x1100, mem.page_gen(0x1100), test_block(nop));
         // A hit moves the block out of its slot (the dispatch loop's
         // take / put_back bracket), so every successful step here puts
         // it back before the next, exactly as the loop does.
-        let mut step = |c: &mut BlockCache, mem: &PhysMem, to_eip: u32| {
+        let step = |c: &mut BlockCache, mem: &PhysMem, to_eip: u32| {
             let hit = c.chain_next(0x1000, 0, to_eip, 0x1100, mem);
             if let Some(b) = hit {
                 c.put_back(0x1100, b);

@@ -60,10 +60,6 @@ impl DecodeCache {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Cumulative `(hits, misses, invalidations)`. A hit returned a
     /// cached decode; a miss ran the decoder; an invalidation is a miss
     /// that found a matching entry killed by a write to its page.

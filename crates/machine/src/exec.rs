@@ -264,7 +264,7 @@ impl Machine {
                     self.write_rm(&dst, r.value, width)?;
                 }
                 self.cpu.eflags = r.flags;
-                if self.config().flag_update_bug {
+                if self.config().bugs.flag_update {
                     // Test-only hook: model a flag writer that forgets
                     // the canonicalization mask (clears the reserved
                     // always-one bit, leaks an unmodeled IOPL bit). The

@@ -102,6 +102,46 @@ pub enum RunExit {
 /// the atomic load stays invisible in the exec-loop benchmarks.
 pub const ABORT_CHECK_STEPS: u32 = 4096;
 
+/// How the machine executes guest code. Every tier is observationally
+/// identical — registers, memory, TSC, traps, and the decode-cache and
+/// TLB statistics the golden corpora pin (the cache's own counters
+/// aside) — so a tier is a speed setting, never an experimental axis.
+/// The checker's `pair_decode_cache` and `pair_block_engine` pairs
+/// prove it in lockstep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ExecTier {
+    /// Decode every instruction from guest memory on every step: the
+    /// reference interpreter.
+    Interp,
+    /// Single-step through the decoded-instruction cache
+    /// ([`crate::Machine::decode_stats`]).
+    Decoded,
+    /// The decoded tier plus chained block traces in [`Machine::run`]
+    /// (see the `block` module). [`Machine::step`] still single-steps.
+    #[default]
+    Blocks,
+}
+
+/// Test-only seeded simulator bugs, each of which one of the checker's
+/// self-tests must catch. All off by default; never set outside those
+/// self-tests.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeededBugs {
+    /// Every ALU flag update leaks a non-canonical EFLAGS image; the
+    /// sanitizer must report it.
+    pub flag_update: bool,
+    /// Trap delivery from user mode skips the TSS.esp0 kernel-stack
+    /// switch, so the interrupt frame lands on the *user* stack — the
+    /// classic broken-stack-switch kernel bug. The ring-transition
+    /// lockstep must flag it.
+    pub ring_switch: bool,
+    /// Reschedule IPIs are silently dropped at the send port, modeling
+    /// a lost cross-CPU doorbell. The SMP lockstep must flag the
+    /// missed wake-up.
+    pub ipi_drop: bool,
+}
+
 /// Machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -111,27 +151,9 @@ pub struct MachineConfig {
     pub timer_period: u64,
     /// Whether the timer fires at all.
     pub timer_enabled: bool,
-    /// Whether fetch consults the decoded-instruction cache (default
-    /// true; turning it off is the reference path for equivalence tests
-    /// and benchmarks — execution must be observationally identical).
-    pub decode_cache: bool,
-    /// Whether [`Machine::run`] may execute basic-block-at-a-time
-    /// (default true; requires `decode_cache` and no sanitizer to take
-    /// effect, and [`Machine::step`] always single-steps). Execution
-    /// must be observationally identical either way, including decode
-    /// cache and TLB statistics; the checker's `pair_block_engine`
-    /// config proves it in lockstep against single-stepping.
-    pub block_engine: bool,
-    /// Whether the block engine may *chain* block exits: when a cached
-    /// block ends in a direct branch (or falls through), replay jumps
-    /// straight to the successor block without re-entering the
-    /// dispatch loop, and revalidates translations inside a chain with
-    /// one TLB-generation compare per instruction instead of a full
-    /// per-instruction translation (default true; only meaningful when
-    /// the block engine is active). Execution must be observationally
-    /// identical either way, including decode-cache and TLB statistics;
-    /// the checker's `pair_chain` config proves it in lockstep.
-    pub block_chain: bool,
+    /// Execution tier (default [`ExecTier::Blocks`]). The sanitizer
+    /// forces single-stepping; see [`MachineConfig::effective_tier`].
+    pub tier: ExecTier,
     /// Per-step architectural-state sanitizer (default false). When on,
     /// every step validates the invariants listed in the crate docs
     /// (canonical EFLAGS, monotonic TSC, CR2-iff-#PF, decode-cache
@@ -140,24 +162,15 @@ pub struct MachineConfig {
     /// cost; meant for the checker's sweeps, not for campaigns.
     pub sanitizer: bool,
     #[doc(hidden)]
-    /// Test-only hook: makes every ALU flag update leak a non-canonical
-    /// EFLAGS image, so the checker's self-test can prove the sanitizer
-    /// detects a broken flag writer. Never set outside that self-test.
-    pub flag_update_bug: bool,
-    #[doc(hidden)]
-    /// Test-only hook: skips the TSS.esp0 kernel-stack switch when a
-    /// trap is delivered from user mode, so the interrupt frame lands
-    /// on the *user* stack — the classic broken-stack-switch kernel
-    /// bug. The checker's self-test proves its ring-transition pair
-    /// detects this. Never set outside that self-test.
-    pub ring_switch_bug: bool,
+    /// Test-only seeded bugs for the checker's self-tests.
+    pub bugs: SeededBugs,
     /// Number of guest CPUs (default 1). With `cpus = 1` the machine
     /// allocates no SMP state at all and executes exactly the
     /// uniprocessor code path. With `cpus > 1`, secondary CPUs start
     /// parked (halted, interrupts off) until a startup IPI, the CPUs
     /// interleave round-robin at [`MachineConfig::smp_quantum`]-step
     /// slices over the shared physical memory, and [`Machine::run`]
-    /// single-steps (the block engine is a uniprocessor fast path).
+    /// single-steps (blocks are a uniprocessor fast path).
     pub cpus: u32,
     /// Round-robin slice length in steps for `cpus > 1` (default 64).
     /// Together with [`MachineConfig::smp_seed`] this fully determines
@@ -169,12 +182,19 @@ pub struct MachineConfig {
     /// slice lengths with a deterministic xorshift draw so campaigns
     /// can explore different (but reproducible) interleavings.
     pub smp_seed: u64,
-    #[doc(hidden)]
-    /// Test-only hook: silently drops reschedule IPIs at the send port,
-    /// modeling a kernel whose cross-CPU reschedule doorbell is lost —
-    /// the checker's self-test proves the lockstep rig catches the
-    /// missed wake-up. Never set outside that self-test.
-    pub ipi_drop_bug: bool,
+}
+
+impl MachineConfig {
+    /// The tier the machine actually executes at: [`MachineConfig::tier`],
+    /// except that the sanitizer demotes [`ExecTier::Blocks`] to
+    /// [`ExecTier::Decoded`] — its contract is per-step validation, so
+    /// every instruction must go through [`Machine::step`].
+    pub fn effective_tier(&self) -> ExecTier {
+        match self.tier {
+            ExecTier::Blocks if self.sanitizer => ExecTier::Decoded,
+            tier => tier,
+        }
+    }
 }
 
 impl Default for MachineConfig {
@@ -183,16 +203,12 @@ impl Default for MachineConfig {
             phys_mem: 8 << 20,
             timer_period: 50_000,
             timer_enabled: true,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
+            tier: ExecTier::default(),
             sanitizer: false,
-            flag_update_bug: false,
-            ring_switch_bug: false,
+            bugs: SeededBugs::default(),
             cpus: 1,
             smp_quantum: 64,
             smp_seed: 0,
-            ipi_drop_bug: false,
         }
     }
 }
@@ -326,16 +342,22 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with zeroed memory, no disk, EIP = 0.
     pub fn new(config: MachineConfig) -> Machine {
+        Machine::with_state(config, Cpu::new(0), PhysMem::new(config.phys_mem))
+    }
+
+    /// The construction shared by [`Machine::new`] and [`Machine::fork`]:
+    /// empty caches sized for the effective tier, the sanitizer iff
+    /// configured, parked secondaries iff `cpus > 1`, and reset device
+    /// latches.
+    fn with_state(config: MachineConfig, cpu: Cpu, mem: PhysMem) -> Machine {
+        let tier = config.effective_tier();
         Machine {
-            cpu: Cpu::new(0),
-            mem: PhysMem::new(config.phys_mem),
+            cpu,
+            mem,
             disk: None,
             tlb: Tlb::new(),
-            decode_cache: crate::decode_cache::DecodeCache::new(config.decode_cache),
-            block_cache: crate::block::BlockCache::new(
-                config.block_engine && config.decode_cache,
-                config.block_chain,
-            ),
+            decode_cache: crate::decode_cache::DecodeCache::new(tier != ExecTier::Interp),
+            block_cache: crate::block::BlockCache::new(tier == ExecTier::Blocks),
             trace: TraceSink::Null,
             san: config.sanitizer.then(|| Box::new(crate::sanitizer::Sanitizer::new())),
             config,
@@ -534,21 +556,15 @@ impl Machine {
     /// Cumulative decoded-instruction cache `(hits, misses,
     /// invalidations)` since construction. Like [`Machine::tlb_stats`],
     /// these survive [`Machine::restore`] — diff around a run for
-    /// per-run numbers. All zero when the cache is disabled.
+    /// per-run numbers. All zero at [`ExecTier::Interp`].
     pub fn decode_stats(&self) -> (u64, u64, u64) {
         self.decode_cache.stats()
-    }
-
-    /// Whether the decoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.decode_cache.enabled()
     }
 
     /// Cumulative basic-block cache `(hits, misses, invalidations)`
     /// since construction. Like [`Machine::decode_stats`], these
     /// survive [`Machine::restore`] — diff around a run for per-run
-    /// numbers. All zero when the block engine is disabled (or the
-    /// decode cache is off, which disables it transitively).
+    /// numbers. All zero below [`ExecTier::Blocks`].
     pub fn block_stats(&self) -> (u64, u64, u64) {
         self.block_cache.stats()
     }
@@ -558,18 +574,10 @@ impl Machine {
     /// without re-entering the dispatch loop, and links torn down
     /// because the successor block was invalidated or evicted. Like
     /// [`Machine::block_stats`], these survive [`Machine::restore`] —
-    /// diff around a run for per-run numbers. All zero when chaining
-    /// (or the block engine) is disabled.
+    /// diff around a run for per-run numbers. All zero below
+    /// [`ExecTier::Blocks`].
     pub fn chain_stats(&self) -> (u64, u64, u64) {
         self.block_cache.chain_stats()
-    }
-
-    /// Whether the basic-block engine is enabled (requires both
-    /// [`MachineConfig::block_engine`] and [`MachineConfig::decode_cache`];
-    /// even then, [`Machine::run`] still falls back to single-stepping
-    /// when the sanitizer is on).
-    pub fn block_engine_enabled(&self) -> bool {
-        self.block_cache.enabled()
     }
 
     /// Number of physical pages dirtied since the last snapshot restore
@@ -627,19 +635,7 @@ impl Machine {
             blk_lba: self.blk_lba,
             blk_dma: self.blk_dma,
             blk_status: self.blk_status,
-            smp: self.smp.as_ref().map(|smp| {
-                let mut cpus: Vec<(Cpu, u64)> =
-                    smp.ctxs.iter().map(|c| (c.cpu.clone(), c.next_tick)).collect();
-                cpus[smp.active] = (self.cpu.clone(), self.next_tick);
-                crate::smp::SmpSnapshot {
-                    cpus,
-                    active: smp.active,
-                    slice_left: smp.slice_left,
-                    rng: smp.rng,
-                    ipi_arg: smp.ipi_arg,
-                    pending: smp.pending.iter().map(|q| q.iter().cloned().collect()).collect(),
-                }
-            }),
+            smp: self.smp.as_ref().map(|smp| smp.snapshot(&self.cpu, self.next_tick)),
         }
     }
 
@@ -656,38 +652,25 @@ impl Machine {
         self.mem.restore_from(&s.mem, s.id);
         self.decode_cache.flush();
         self.block_cache.flush();
+        self.tlb.flush();
+        self.load_latches(s);
+        self.clear_logs();
+    }
+
+    /// Loads the timer deadline, the device latches and (on SMP
+    /// machines) every parked CPU context, the scheduler position and
+    /// the in-flight IPIs from `s`: the part of a snapshot that
+    /// [`Machine::restore`] and [`Machine::fork`] install alike.
+    fn load_latches(&mut self, s: &Snapshot) {
         self.next_tick = s.next_tick;
         self.blk_lba = s.blk_lba;
         self.blk_dma = s.blk_dma;
         self.blk_status = s.blk_status;
-        self.tlb.flush();
-        assert_eq!(
-            self.smp.is_some(),
-            s.smp.is_some(),
-            "snapshot/machine CPU-count mismatch (SMP vs uniprocessor)"
-        );
-        if let (Some(smp), Some(snap)) = (self.smp.as_mut(), s.smp.as_ref()) {
-            assert_eq!(smp.ctxs.len(), snap.cpus.len(), "snapshot CPU-count mismatch");
-            for (ctx, (cpu, next_tick)) in smp.ctxs.iter_mut().zip(&snap.cpus) {
-                ctx.cpu = cpu.clone();
-                ctx.next_tick = *next_tick;
-                ctx.tlb.flush();
-            }
-            smp.active = snap.active;
-            smp.slice_left = snap.slice_left;
-            smp.rng = snap.rng;
-            smp.ipi_arg = snap.ipi_arg;
-            for (q, p) in smp.pending.iter_mut().zip(&snap.pending) {
-                q.clear();
-                q.extend(p.iter().cloned());
-            }
+        match (self.smp.as_mut(), s.smp.as_ref()) {
+            (Some(smp), Some(snap)) => smp.load(snap),
+            (None, None) => {}
+            _ => panic!("snapshot/machine CPU-count mismatch (SMP vs uniprocessor)"),
         }
-        self.console.clear();
-        self.monitor.clear();
-        self.trap_log.clear();
-        self.counters = Counters::default();
-        self.delivering = 0;
-        self.triple_faulted = false;
     }
 
     /// Builds a new machine directly in the state captured by `s`: a
@@ -725,48 +708,9 @@ impl Machine {
             s.smp.as_ref().map(|smp| smp.cpus.len()).unwrap_or(1),
             "fork config CPU count mismatch"
         );
-        let smp = s.smp.as_ref().map(|snap| {
-            let mut smp =
-                crate::smp::SmpState::new(config.cpus, config.timer_period, config.smp_seed);
-            for (ctx, (cpu, next_tick)) in smp.ctxs.iter_mut().zip(&snap.cpus) {
-                ctx.cpu = cpu.clone();
-                ctx.next_tick = *next_tick;
-            }
-            smp.active = snap.active;
-            smp.slice_left = snap.slice_left;
-            smp.rng = snap.rng;
-            smp.ipi_arg = snap.ipi_arg;
-            for (q, p) in smp.pending.iter_mut().zip(&snap.pending) {
-                q.extend(p.iter().cloned());
-            }
-            Box::new(smp)
-        });
-        Machine {
-            cpu: s.cpu.clone(),
-            mem: PhysMem::fork_from(&s.mem, s.id),
-            disk: None,
-            tlb: Tlb::new(),
-            decode_cache: crate::decode_cache::DecodeCache::new(config.decode_cache),
-            block_cache: crate::block::BlockCache::new(
-                config.block_engine && config.decode_cache,
-                config.block_chain,
-            ),
-            trace: TraceSink::Null,
-            san: config.sanitizer.then(|| Box::new(crate::sanitizer::Sanitizer::new())),
-            config,
-            console: Vec::new(),
-            monitor: Vec::new(),
-            trap_log: Vec::new(),
-            counters: Counters::default(),
-            next_tick: s.next_tick,
-            blk_lba: s.blk_lba,
-            blk_dma: s.blk_dma,
-            blk_status: s.blk_status,
-            smp,
-            delivering: 0,
-            triple_faulted: false,
-            abort: None,
-        }
+        let mut m = Machine::with_state(config, s.cpu.clone(), PhysMem::fork_from(&s.mem, s.id));
+        m.load_latches(s);
+        m
     }
 
     /// Clears logs, counters and latched fault state (the reboot path:
@@ -1110,7 +1054,7 @@ impl Machine {
     /// the write, like any other unknown port traffic.
     fn ipi_command(&mut self, value: u32) {
         let (cr0, cr3, idt_base) = (self.cpu.cr0, self.cpu.cr3, self.cpu.idt_base);
-        let drop_resched = self.config.ipi_drop_bug;
+        let drop_resched = self.config.bugs.ipi_drop;
         let Some(smp) = self.smp.as_mut() else { return };
         let target = ((value >> 8) & 0xff) as usize;
         if target >= smp.ctxs.len() {
@@ -1201,7 +1145,7 @@ impl Machine {
 
         // Switch to the kernel stack for user→kernel transitions.
         let mut sp =
-            if from_user && !self.config.ring_switch_bug { self.cpu.esp0 } else { old_esp };
+            if from_user && !self.config.bugs.ring_switch { self.cpu.esp0 } else { old_esp };
         let kpush = |m: &mut Machine, sp: &mut u32, v: u32| -> XResult<()> {
             *sp = sp.wrapping_sub(4);
             m.write_kernel_u32(*sp, v)
@@ -1389,26 +1333,49 @@ impl Machine {
     /// Runs until a breakpoint, halt, triple fault, the cycle budget is
     /// exhausted, or the [abort flag](Machine::set_abort_flag) is set
     /// (also reported as [`RunExit::CycleLimit`] — the watchdog's view).
+    ///
+    /// The budget counts against [`Machine::max_tsc`], the machine-wide
+    /// clock: per-CPU TSCs drift apart under SMP interleaving, and
+    /// budgeting the laggard would stretch the watchdog by the drift.
+    /// On a uniprocessor it is exactly `cpu.tsc`.
+    ///
+    /// Each iteration either single-steps or, at [`ExecTier::Blocks`]
+    /// on a uniprocessor, executes one chained block segment. Anything
+    /// that needs per-step precision — a halted CPU, a latched triple
+    /// fault, a due timer tick, a breakpoint at the head, the
+    /// sanitizer, more than one CPU — goes through [`Machine::step`].
+    /// When blocks may run, the abort flag is polled every iteration (a
+    /// block segment retires at most half of [`ABORT_CHECK_STEPS`]
+    /// instructions); otherwise every [`ABORT_CHECK_STEPS`]-th step.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        if self.smp.is_some() {
-            return self.run_smp(max_cycles);
-        }
-        let deadline = self.cpu.tsc.saturating_add(max_cycles);
-        if self.block_cache.enabled() && self.san.is_none() {
-            return self.run_block_mode(deadline);
-        }
+        let blocks = self.block_cache.enabled() && self.smp.is_none();
+        let mut now = self.max_tsc();
+        let deadline = now.saturating_add(max_cycles);
         let mut steps: u32 = 0;
         loop {
-            if self.cpu.tsc >= deadline {
+            // Parked CPUs' clocks stand still, so the running maximum
+            // of the active CPU's TSC is `max_tsc()` without the scan.
+            now = now.max(self.cpu.tsc);
+            if now >= deadline {
                 return RunExit::CycleLimit;
             }
             steps = steps.wrapping_add(1);
-            if steps % ABORT_CHECK_STEPS == 0 {
+            if blocks || steps.is_multiple_of(ABORT_CHECK_STEPS) {
                 if let Some(flag) = &self.abort {
                     if flag.load(std::sync::atomic::Ordering::Relaxed) {
                         return RunExit::CycleLimit;
                     }
                 }
+            }
+            if blocks && !self.needs_step() {
+                self.exec_block(deadline);
+                // A fault cascade inside the block can latch a triple
+                // fault; report it before the deadline, as stepping
+                // would.
+                if self.triple_faulted {
+                    return RunExit::TripleFault;
+                }
+                continue;
             }
             match self.step() {
                 StepEvent::Executed => {}
@@ -1419,77 +1386,14 @@ impl Machine {
         }
     }
 
-    /// Block-at-a-time body of [`Machine::run`]. Anything that needs
-    /// per-step precision — pending timer tick, halted CPU, latched
-    /// triple fault, breakpoint match at the block head — is routed
-    /// through one ordinary [`Machine::step`]; the straight-line rest
-    /// executes via the block engine with the abort flag polled once
-    /// per dispatch — a single block (at most 64 instructions) without
-    /// chaining, or one chained segment (bounded at half of
-    /// [`ABORT_CHECK_STEPS`] retired instructions) with it, so either
-    /// way the poll cadence stays inside the single-step contract.
-    fn run_block_mode(&mut self, deadline: u64) -> RunExit {
-        loop {
-            if self.cpu.tsc >= deadline {
-                return RunExit::CycleLimit;
-            }
-            if let Some(flag) = &self.abort {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return RunExit::CycleLimit;
-                }
-            }
-            let needs_step = self.triple_faulted
-                || self.cpu.halted
-                || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
-                || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some());
-            if needs_step {
-                match self.step() {
-                    StepEvent::Executed => continue,
-                    StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
-                    StepEvent::Halted => return RunExit::Halted,
-                    StepEvent::TripleFault => return RunExit::TripleFault,
-                }
-            }
-            self.exec_block(deadline);
-            // A fault cascade inside the block can latch a triple
-            // fault; report it before the deadline, as the single-step
-            // loop would.
-            if self.triple_faulted {
-                return RunExit::TripleFault;
-            }
-        }
-    }
-
-    /// Multi-CPU body of [`Machine::run`]: always single-steps (the
-    /// block engine is a uniprocessor fast path), so every quantum
-    /// boundary, IPI delivery and per-CPU timer is exact. The cycle
-    /// budget counts against the machine-wide maximum TSC — per-CPU
-    /// TSCs drift under interleaving, and budgeting the laggard would
-    /// stretch the watchdog by the drift.
-    fn run_smp(&mut self, max_cycles: u64) -> RunExit {
-        let mut hi = self.max_tsc();
-        let deadline = hi.saturating_add(max_cycles);
-        let mut steps: u32 = 0;
-        loop {
-            hi = hi.max(self.cpu.tsc);
-            if hi >= deadline {
-                return RunExit::CycleLimit;
-            }
-            steps = steps.wrapping_add(1);
-            if steps % ABORT_CHECK_STEPS == 0 {
-                if let Some(flag) = &self.abort {
-                    if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        return RunExit::CycleLimit;
-                    }
-                }
-            }
-            match self.step() {
-                StepEvent::Executed => {}
-                StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
-                StepEvent::Halted => return RunExit::Halted,
-                StepEvent::TripleFault => return RunExit::TripleFault,
-            }
-        }
+    /// Whether the next instruction boundary needs [`Machine::step`]'s
+    /// per-step handling rather than a block: latched triple fault,
+    /// halted CPU, due timer tick, or a breakpoint at EIP.
+    fn needs_step(&self) -> bool {
+        self.triple_faulted
+            || self.cpu.halted
+            || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
+            || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some())
     }
 }
 
@@ -1807,7 +1711,7 @@ mod sanitizer_tests {
         let mut m = Machine::new(MachineConfig {
             timer_enabled: false,
             sanitizer: true,
-            flag_update_bug: true,
+            bugs: SeededBugs { flag_update: true, ..Default::default() },
             ..Default::default()
         });
         m.mem.load(0x1000, &[0x83, 0xc0, 0x01, 0xfa, 0xf4]); // add $1,%eax; cli; hlt
@@ -1832,7 +1736,8 @@ mod sanitizer_tests {
     fn sanitizer_disabled_costs_nothing_and_reports_nothing() {
         let mut m = Machine::new(MachineConfig {
             timer_enabled: false,
-            flag_update_bug: true, // bug present but no sanitizer watching
+            // Bug present but no sanitizer watching.
+            bugs: SeededBugs { flag_update: true, ..Default::default() },
             ..Default::default()
         });
         m.mem.load(0x1000, &[0x40, 0xfa, 0xf4]);
@@ -1957,7 +1862,7 @@ mod smp_tests {
         let mut m = Machine::new(MachineConfig {
             timer_enabled: false,
             cpus: 2,
-            ipi_drop_bug: true,
+            bugs: SeededBugs { ipi_drop: true, ..Default::default() },
             ..Default::default()
         });
         m.cpu.idt_base = 0x3000;

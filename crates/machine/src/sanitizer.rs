@@ -26,9 +26,9 @@
 //! The sanitizer never mutates architectural state, but the fetch-site
 //! re-walk uses its own scratch TLB and the re-decode re-reads memory,
 //! so wall-clock cost roughly doubles — it is a checking mode, not a
-//! production mode. Because its invariants are per-*step*,
-//! [`Machine::run`](crate::Machine::run) disengages the basic-block
-//! engine and single-steps whenever the sanitizer is on.
+//! production mode. Because its invariants are per-*step*, the
+//! sanitizer demotes [`ExecTier::Blocks`](crate::ExecTier) to
+//! single-stepping ([`MachineConfig::effective_tier`](crate::MachineConfig::effective_tier)).
 //!
 //! One caveat on the MMU re-walk: a guest that rewrites live page
 //! tables *without* reloading CR3 keeps serving stale TLB entries (by

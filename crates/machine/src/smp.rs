@@ -84,6 +84,47 @@ impl SmpState {
         }
     }
 
+    /// Captures every CPU context — the live `cpu`/`next_tick` for the
+    /// active one, the parked ones for the rest — plus the scheduler
+    /// position and in-flight IPIs.
+    pub fn snapshot(&self, live_cpu: &Cpu, live_next_tick: u64) -> SmpSnapshot {
+        let mut cpus: Vec<(Cpu, u64)> =
+            self.ctxs.iter().map(|c| (c.cpu.clone(), c.next_tick)).collect();
+        cpus[self.active] = (live_cpu.clone(), live_next_tick);
+        SmpSnapshot {
+            cpus,
+            active: self.active,
+            slice_left: self.slice_left,
+            rng: self.rng,
+            ipi_arg: self.ipi_arg,
+            pending: self.pending.iter().map(|q| q.iter().cloned().collect()).collect(),
+        }
+    }
+
+    /// Installs `snap` into the parked contexts (TLBs flushed), the
+    /// scheduler and the IPI queues. The active CPU's entry lands in
+    /// its parked slot too; the caller installs the live copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snap` was taken on a machine with another CPU count.
+    pub fn load(&mut self, snap: &SmpSnapshot) {
+        assert_eq!(self.ctxs.len(), snap.cpus.len(), "snapshot CPU-count mismatch");
+        for (ctx, (cpu, next_tick)) in self.ctxs.iter_mut().zip(&snap.cpus) {
+            ctx.cpu = cpu.clone();
+            ctx.next_tick = *next_tick;
+            ctx.tlb.flush();
+        }
+        self.active = snap.active;
+        self.slice_left = snap.slice_left;
+        self.rng = snap.rng;
+        self.ipi_arg = snap.ipi_arg;
+        for (q, p) in self.pending.iter_mut().zip(&snap.pending) {
+            q.clear();
+            q.extend(p.iter().cloned());
+        }
+    }
+
     /// Next slice length. With `rng == 0` this is exactly `quantum`;
     /// otherwise a xorshift64 draw jitters it within
     /// `[quantum/2, quantum/2 + quantum)`. Either way the schedule is a

@@ -1,4 +1,4 @@
-//! The basic-block engine must be observationally invisible next to
+//! The block tier must be observationally invisible next to
 //! single-stepping: same exit, same architectural state, same console —
 //! and, stricter than that, the *same decode-cache and TLB statistics*,
 //! because the campaign golden CSV pins those counters and the engine
@@ -6,20 +6,21 @@
 //! config proves the same property in lockstep over generated kernels;
 //! these tests pin the targeted corner cases.)
 //!
-//! Block chaining defaults on, so every "engine on" machine below also
-//! exercises the chained dispatch path; the chain-specific tests at the
-//! bottom additionally pin chain accounting, chain breakage under
-//! bit flips, and the abort-flag latency bound with chaining engaged.
+//! Every "on" machine below runs at [`ExecTier::Blocks`] and every
+//! "off" machine single-steps at [`ExecTier::Decoded`]; the chain tests
+//! at the bottom additionally pin chain accounting, chain breakage
+//! under bit flips, and the abort-flag latency bound.
 
 use kfi_isa::Reg;
-use kfi_machine::{Machine, MachineConfig, RunExit};
+use kfi_machine::{ExecTier, Machine, MachineConfig, RunExit};
 use proptest::prelude::*;
 
-fn machine_cfg(code: &[u8], block_engine: bool, timer_enabled: bool) -> Machine {
+fn machine_cfg(code: &[u8], blocks: bool, timer_enabled: bool) -> Machine {
+    let tier = if blocks { ExecTier::Blocks } else { ExecTier::Decoded };
     let mut m = Machine::new(MachineConfig {
         phys_mem: 1 << 20,
         timer_enabled,
-        block_engine,
+        tier,
         ..Default::default()
     });
     m.mem.load(0x1000, code);
@@ -54,8 +55,8 @@ const LOOP_PROGRAM: &[u8] = &[
 fn loop_is_identical_and_blocks_hit() {
     let mut on = machine_cfg(LOOP_PROGRAM, true, false);
     let mut off = machine_cfg(LOOP_PROGRAM, false, false);
-    assert!(on.block_engine_enabled());
-    assert!(!off.block_engine_enabled());
+    assert_eq!(on.config().effective_tier(), ExecTier::Blocks);
+    assert_eq!(off.config().effective_tier(), ExecTier::Decoded);
     assert_eq!(on.run(100_000), RunExit::Halted);
     assert_eq!(off.run(100_000), RunExit::Halted);
     assert_identical(&mut on, &mut off);
@@ -98,8 +99,8 @@ fn breakpoint_inside_a_recorded_block_fires_exactly() {
         0x40, 0x40, 0x40, 0x40, 0x40, 0x40, // 6x inc eax
         0xeb, 0xf8, // jmp .-6 (back to 0x1000)
     ];
-    for block_engine in [true, false] {
-        let mut m = machine_cfg(code, block_engine, false);
+    for blocks in [true, false] {
+        let mut m = machine_cfg(code, blocks, false);
         // Let the loop run a few iterations so the block is cached hot.
         m.cpu.arm_breakpoint(0, 0x1003);
         assert_eq!(m.run(100), RunExit::DebugBreak { index: 0 });
@@ -142,17 +143,16 @@ fn timer_delivery_is_identical_across_blocks() {
 }
 
 #[test]
-fn block_engine_requires_the_decode_cache() {
-    let m = Machine::new(MachineConfig {
-        decode_cache: false,
-        block_engine: true,
-        ..Default::default()
-    });
-    assert!(
-        !m.block_engine_enabled(),
-        "without the decode cache there is nothing to validate replays against"
-    );
-    assert_eq!(m.block_stats(), (0, 0, 0));
+fn sanitizer_forces_single_stepping() {
+    let cfg = MachineConfig { sanitizer: true, timer_enabled: false, ..Default::default() };
+    assert_eq!(cfg.effective_tier(), ExecTier::Decoded, "the sanitizer validates every step");
+    let mut m = Machine::new(cfg);
+    m.mem.load(0x1000, LOOP_PROGRAM);
+    m.cpu.eip = 0x1000;
+    assert_eq!(m.config().effective_tier(), ExecTier::Decoded);
+    assert_eq!(m.run(100_000), RunExit::Halted);
+    assert_eq!(m.block_stats(), (0, 0, 0), "no block may run under the sanitizer");
+    assert!(m.decode_stats().0 > 0, "the decode cache still serves the steps");
 }
 
 #[test]
@@ -172,32 +172,17 @@ fn restore_flushes_block_warmth() {
     assert_eq!(after.1 - before.1, misses1, "restore must flush cached blocks");
 }
 
-fn chain_cfg(code: &[u8], block_chain: bool) -> Machine {
-    let mut m = Machine::new(MachineConfig {
-        phys_mem: 1 << 20,
-        timer_enabled: false,
-        block_engine: true,
-        block_chain,
-        ..Default::default()
-    });
-    m.mem.load(0x1000, code);
-    m.cpu.eip = 0x1000;
-    m.cpu.set_reg(4, 0x8000);
-    m
-}
-
 #[test]
 fn chaining_links_and_follows_on_a_hot_loop() {
-    let mut on = chain_cfg(LOOP_PROGRAM, true);
-    let mut off = chain_cfg(LOOP_PROGRAM, false);
+    let mut on = machine_cfg(LOOP_PROGRAM, true, false);
+    let mut off = machine_cfg(LOOP_PROGRAM, false, false);
     assert_eq!(on.run(100_000), RunExit::Halted);
     assert_eq!(off.run(100_000), RunExit::Halted);
     assert_identical(&mut on, &mut off);
     let (links, follows, _) = on.chain_stats();
     assert!(links >= 1, "the loop back-edge must install a chain link, got {links}");
     assert!(follows >= 50, "the hot back-edge should be followed, got {follows}");
-    assert_eq!(off.chain_stats(), (0, 0, 0), "chain off must count nothing");
-    assert!(off.block_stats().0 > 0, "chain off still replays blocks");
+    assert_eq!(off.chain_stats(), (0, 0, 0), "single-stepping must count nothing");
 }
 
 #[test]
@@ -225,7 +210,7 @@ fn flip_into_chained_code_breaks_the_chain() {
         0x90, // 0x2001: nop
         0xe9, 0xfe, 0xef, 0xff, 0xff, // 0x2002: jmp 0x1005
     ];
-    let mut m = chain_cfg(&page1, true);
+    let mut m = machine_cfg(&page1, true, false);
     m.mem.load(0x2000, page2);
     // 131 instructions per iteration and a 128-instruction cap are
     // coprime, so trace heads rotate through every phase; warm long
@@ -250,12 +235,12 @@ fn flip_into_chained_code_breaks_the_chain() {
 fn abort_flag_set_mid_run_reaps_a_chained_self_loop() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    // jmp .-0: with chaining on, the block chains to itself, so the
+    // jmp .-0: the block chains to itself, so the
     // run only ever returns because the chain-step quantum keeps the
     // abort poll cadence bounded. A flag set *while* the machine spins
     // must still end the run — the supervisor's wall-clock watchdog
     // depends on it.
-    let mut m = chain_cfg(&[0xeb, 0xfe], true);
+    let mut m = machine_cfg(&[0xeb, 0xfe], true, false);
     let flag = Arc::new(AtomicBool::new(false));
     m.set_abort_flag(Some(flag.clone()));
     let setter = {

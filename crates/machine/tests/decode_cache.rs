@@ -5,14 +5,15 @@
 //! snapshot restores.
 
 use kfi_isa::Reg;
-use kfi_machine::{Machine, MachineConfig, RunExit};
+use kfi_machine::{ExecTier, Machine, MachineConfig, RunExit};
 use proptest::prelude::*;
 
 fn machine(code: &[u8], decode_cache: bool) -> Machine {
+    let tier = if decode_cache { ExecTier::Blocks } else { ExecTier::Interp };
     let mut m = Machine::new(MachineConfig {
         phys_mem: 1 << 20,
         timer_enabled: false,
-        decode_cache,
+        tier,
         ..Default::default()
     });
     m.mem.load(0x1000, code);
@@ -71,8 +72,8 @@ fn unwritten_code_page_hits_in_the_cache() {
 fn self_modifying_code_is_identical_without_cache() {
     let mut on = machine(SMC_PROGRAM, true);
     let mut off = machine(SMC_PROGRAM, false);
-    assert!(on.decode_cache_enabled());
-    assert!(!off.decode_cache_enabled());
+    assert_eq!(on.config().effective_tier(), ExecTier::Blocks);
+    assert_eq!(off.config().effective_tier(), ExecTier::Interp);
     assert_eq!(on.run(10_000), off.run(10_000));
     assert_eq!(on.cpu.tsc, off.cpu.tsc);
     assert_eq!(on.snapshot(), off.snapshot());

@@ -1,21 +1,32 @@
-//! Golden regression test for the raw CSV dataset: a seeded mini study
-//! (all three campaigns, small per-function cap, one worker) rendered
-//! through the same [`kfi_bench::csv_dataset`] path as `repro_all
-//! --csv`, followed by a seeded mini campaign matrix (server kernel,
-//! echo/netstorm driving ipc/net) rendered through the same
-//! [`kfi_core::matrix_to_csv`] path as `repro_all --matrix --csv`, must
-//! match the checked-in corpus byte for byte. Any change to injection
-//! planning, outcome classification, the metrics plumbing, the matrix
-//! sharding, or the CSV schemas shows up here as a readable diff.
+//! Golden regression test for the raw CSV dataset. Two corpora must
+//! match their checked-in files byte for byte:
+//!
+//! * `repro_mini.csv`: a seeded mini study (all three campaigns, small
+//!   per-function cap, one worker) rendered through the same
+//!   [`kfi_bench::csv_dataset`] path as `repro_all --csv`, followed by
+//!   a seeded mini campaign matrix (server kernel, echo/netstorm
+//!   driving ipc/net) rendered through the same
+//!   [`kfi_core::matrix_to_csv`] path as `repro_all --matrix --csv`;
+//! * `repro_mini_smp2.csv`: the same kind of mini study on the `smp`
+//!   kernel and a two-CPU machine (`repro_all --cpus 2`), the one
+//!   byte-level pin on the SMP run path.
+//!
+//! Any change to injection planning, outcome classification, the
+//! metrics plumbing, the matrix sharding, the SMP interleaving, or the
+//! CSV schemas shows up here as a readable diff.
 //!
 //! To re-bless after an intentional change:
 //! `KFI_BLESS=1 cargo test --test golden_csv`.
 
 use kfi_core::{Experiment, ExperimentConfig, MatrixConfig};
+use kfi_injector::RigConfig;
 use kfi_kernel::KernelBuildOptions;
+use kfi_machine::MachineConfig;
 use kfi_profiler::ProfilerConfig;
 
-const GOLDEN_PATH: &str = "tests/golden/repro_mini.csv";
+/// Every corpus: `(path, generator)`.
+const CORPORA: [(&str, fn() -> String); 2] =
+    [("tests/golden/repro_mini.csv", dataset), ("tests/golden/repro_mini_smp2.csv", smp2_dataset)];
 
 fn dataset() -> String {
     let exp = Experiment::prepare(ExperimentConfig {
@@ -45,16 +56,38 @@ fn dataset() -> String {
     out
 }
 
+fn smp2_dataset() -> String {
+    let exp = Experiment::prepare(ExperimentConfig {
+        seed: 2003,
+        max_per_function: Some(1),
+        threads: 1,
+        kernel: KernelBuildOptions { smp: true, ..Default::default() },
+        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        rig: RigConfig {
+            machine: MachineConfig { cpus: 2, ..Default::default() },
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .expect("experiment prepares");
+    kfi_bench::csv_dataset(&exp.run_all())
+}
+
 #[test]
 fn mini_study_csv_matches_golden_corpus() {
-    let got = dataset();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    for (golden_path, generate) in CORPORA {
+        check_corpus(golden_path, &generate());
+    }
+}
+
+fn check_corpus(golden_path: &str, got: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path);
     if std::env::var_os("KFI_BLESS").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden corpus {GOLDEN_PATH}: {e}"));
+        .unwrap_or_else(|e| panic!("missing golden corpus {golden_path}: {e}"));
     if got != want {
         let diff: Vec<String> = want
             .lines()
@@ -65,7 +98,7 @@ fn mini_study_csv_matches_golden_corpus() {
             .map(|(i, (w, g))| format!("line {}:\n  golden: {w}\n  got:    {g}", i + 1))
             .collect();
         panic!(
-            "CSV dataset diverged from {GOLDEN_PATH} \
+            "CSV dataset diverged from {golden_path} \
              ({} golden lines, {} got lines).\n{}\n\
              If the change is intentional, re-bless with KFI_BLESS=1.",
             want.lines().count(),
