@@ -785,6 +785,12 @@ pub fn run_study_supervised(
             rep.resumed_runs, rep.journal_flushes
         );
     }
+    if let Some(s) = exp.severity_memo_stats() {
+        eprintln!(
+            "[kfi] severity memo: {} assessed, {} memo hits, {} dirty-TLB bypasses",
+            s.assessed, s.hits, s.bypasses
+        );
+    }
     if rep.rig_panics + rep.retries + rep.quarantined_runs + rep.watchdog_fired > 0
         || rep.workers_lost > 0
     {

@@ -201,7 +201,25 @@ pub fn generate(seed: u64, variant: Variant) -> GenProgram {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6b66_692d_6368_6b00);
     let paging = seed % 2 == 1;
 
+    // Paged programs open with a hot loop, before any random
+    // instruction can fault: a chained trace records at most 128
+    // instructions (64 trips), so 200+ trips get the loop's trace
+    // recorded and then replayed whole — the paged block path whose
+    // end-of-block TLB-hit accounting only a full replay reaches. ECX
+    // is saved around it, so the random body starts from the seeded
+    // registers. The trip count comes from the seed, not the RNG,
+    // which leaves the rest of the program as it was.
     let mut code: Vec<u8> = Vec::new();
+    if paging {
+        let trips = 200 + (seed % 300) as u32;
+        code.push(0x51); // push %ecx
+        code.extend_from_slice(
+            &encode(&Op::Mov { width: Width::D, dst: Rm::reg(Reg::Ecx), src: Src::Imm(trips) })
+                .expect("mov imm"),
+        );
+        code.extend_from_slice(&[0x49, 0x75, 0xfd, 0x59]); // dec %ecx; jne .-1; pop %ecx
+    }
+    let prologue = code.len() as u32;
     let n_insns = rng.gen_range(24usize..80);
     for _ in 0..n_insns {
         if code.len() >= MAX_CODE - 64 {
@@ -252,14 +270,18 @@ pub fn generate(seed: u64, variant: Variant) -> GenProgram {
     match variant {
         Variant::Clean => {}
         Variant::PreFlip => {
+            // Flips spare the hot prologue, which a flipped `dec` could
+            // turn into a 2^32-trip loop.
             for _ in 0..rng.gen_range(1u32..4) {
-                let off = rng.gen_range(0u32..code_len);
+                let off = rng.gen_range(prologue..code_len);
                 let bit = rng.gen_range(0u32..8) as u8;
                 code[off as usize] ^= 1 << bit;
             }
         }
         Variant::MidRunFlip => {}
     }
+    // A mid-run flip may land anywhere, the running hot loop included:
+    // a flip inside a replayed trace is the invalidation case to test.
     let mid_flip = match variant {
         Variant::MidRunFlip => Some(MidFlip {
             step: rng.gen_range(4u64..48),

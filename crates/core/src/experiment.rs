@@ -4,6 +4,7 @@
 use crate::stats;
 use kfi_injector::{
     plan_function, Campaign, InjectionTarget, InjectorRig, RigConfig, RigShared, RunRecord,
+    SeverityMemoStats,
 };
 use kfi_kernel::{build_kernel, mkfs::FileSpec, KernelBuildOptions, KernelImage};
 use kfi_profiler::{profile, KernelProfile, ProfilerConfig};
@@ -269,6 +270,16 @@ impl Experiment {
     pub fn golden_captures(&self) -> Option<u64> {
         let shared = self.shared_base.get()?.as_ref().ok()?;
         Some(shared.store().captures())
+    }
+
+    /// What the shared base's severity-verdict store did so far:
+    /// verdicts assessed, memo hits and dirty-TLB bypasses. Host-side
+    /// observations (which worker assesses a disk first depends on
+    /// scheduling), kept out of records and metrics. `None` when the
+    /// base has not been booted (memoization off, or no rig made yet).
+    pub fn severity_memo_stats(&self) -> Option<SeverityMemoStats> {
+        let shared = self.shared_base.get()?.as_ref().ok()?;
+        Some(shared.severity_store().stats())
     }
 
     /// Runs one campaign, fanning the planned targets across

@@ -6,7 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Machine, MachineConfig, MonitorEvent, Ramdisk, RunExit, Snapshot, StepEvent, TrapRecord, Vector,
+    Machine, MachineConfig, MonitorEvent, Ramdisk, RunExit, Snapshot, StepEvent, TrapRecord,
+    Vector, SECTOR_SIZE,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -122,6 +123,64 @@ impl std::fmt::Display for RigError {
 
 impl std::error::Error for RigError {}
 
+/// A campaign-wide exactly-once memo.
+///
+/// Each key is captured **exactly once** across all workers: the first
+/// asker runs the capture; concurrent askers block on the entry's
+/// [`OnceLock`] until it is ready and then share a clone of the same
+/// value. Whatever the capture returns is memoized, failures included.
+/// A capture that panics leaves its entry empty, so the next asker
+/// captures it afresh.
+pub struct MemoStore<K, V> {
+    entries: Mutex<BTreeMap<K, Arc<OnceLock<V>>>>,
+    hits: AtomicU64,
+    captures: AtomicU64,
+}
+
+impl<K, V> Default for MemoStore<K, V> {
+    fn default() -> MemoStore<K, V> {
+        MemoStore {
+            entries: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            captures: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Ord, V: Clone> MemoStore<K, V> {
+    /// Returns the memoized value for `key`, running `capture` to
+    /// produce it if this is the first request. Concurrent first
+    /// requests for the same key execute `capture` once; the losers
+    /// block until the winner finishes.
+    pub fn get_or_capture(&self, key: K, capture: impl FnOnce() -> V) -> V {
+        let cell = {
+            let mut entries = self.entries.lock().expect("memo store lock");
+            entries.entry(key).or_default().clone()
+        };
+        let mut ran = false;
+        let value = cell.get_or_init(|| {
+            ran = true;
+            self.captures.fetch_add(1, Ordering::Relaxed);
+            capture()
+        });
+        if !ran {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value.clone()
+    }
+
+    /// Number of captures actually executed (one per distinct key,
+    /// regardless of how many rigs asked).
+    pub fn captures(&self) -> u64 {
+        self.captures.load(Ordering::Relaxed)
+    }
+
+    /// Number of requests served from the memo without executing.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+}
+
 /// A campaign-wide memo of golden (fault-free) reference runs, keyed by
 /// workload mode.
 ///
@@ -133,56 +192,64 @@ impl std::error::Error for RigError {}
 /// kernel-config dimension collapses structurally: each [`RigShared`]
 /// owns its own store, and one base is one kernel image, one post-boot
 /// disk and one [`RigConfig`]. What remains is one entry per workload
-/// mode.
+/// mode. A failed capture is memoized too — every rig sharing the store
+/// sees the same [`RigError`].
+pub type GoldenStore = MemoStore<u32, Result<Arc<GoldenRun>, RigError>>;
+
+/// An exact post-crash disk, as its difference from the post-boot
+/// image: the index and bytes of every sector that differs, ascending.
+/// Empty for an unchanged disk.
+pub type DiskDelta = Vec<(u32, Vec<u8>)>;
+
+/// A campaign-wide memo of post-crash severity verdicts (paper §7.1),
+/// keyed by the exact post-crash disk ([`DiskDelta`]). A hit skips both
+/// the fsck and the reboot of [`InjectorRig::assess_severity`].
 ///
-/// Each entry is captured **exactly once** across all workers: the
-/// first rig to ask runs the capture; concurrent askers block on the
-/// entry's [`OnceLock`] until it is ready and then share the same
-/// [`Arc<GoldenRun>`]. A failed capture is memoized too — every rig
-/// sharing the store sees the same [`RigError`].
+/// The verdict is a function of the disk only once every other input
+/// of the reboot is pinned: [`kfi_kernel::load_into`] resets all CPU,
+/// timer and device state except CPU 0's TLB, and a rig consults the
+/// memo only when [`kfi_kernel::reboot_tlb_is_inert`] proves that TLB
+/// behaves as an empty one. A rig whose TLB fails that test reboots in
+/// place and is counted as a bypass; its verdict is not stored.
 #[derive(Default)]
-pub struct GoldenStore {
-    #[allow(clippy::type_complexity)]
-    entries: Mutex<BTreeMap<u32, Arc<OnceLock<Result<Arc<GoldenRun>, RigError>>>>>,
-    hits: AtomicU64,
-    captures: AtomicU64,
+pub struct SeverityStore {
+    memo: MemoStore<DiskDelta, (Severity, FsckReport)>,
+    bypasses: AtomicU64,
 }
 
-impl GoldenStore {
-    /// Returns the memoized golden run for `mode`, running `capture` to
-    /// produce it if this is the first request. Concurrent first
-    /// requests for the same mode execute `capture` once; the losers
-    /// block until the winner finishes.
-    pub fn get_or_capture(
+/// What a [`SeverityStore`] did so far. Which worker captures a key
+/// first depends on scheduling, so these are host-side observations,
+/// never part of the records or [`Metrics`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeverityMemoStats {
+    /// Verdicts assessed (fsck, then a reboot unless fsck gave up) and
+    /// stored: one per distinct post-crash disk.
+    pub assessed: u64,
+    /// Verdicts served from the memo.
+    pub hits: u64,
+    /// Assessments that rebooted in place without the memo because
+    /// CPU 0's TLB could change the reboot.
+    pub bypasses: u64,
+}
+
+impl SeverityStore {
+    /// Returns the memoized verdict for the post-crash disk `key`,
+    /// running `assess` to produce it on the first request.
+    pub fn get_or_assess(
         &self,
-        mode: u32,
-        capture: impl FnOnce() -> Result<GoldenRun, RigError>,
-    ) -> Result<Arc<GoldenRun>, RigError> {
-        let cell = {
-            let mut entries = self.entries.lock().expect("golden store lock");
-            entries.entry(mode).or_default().clone()
-        };
-        let mut ran = false;
-        let result = cell.get_or_init(|| {
-            ran = true;
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            capture().map(Arc::new)
-        });
-        if !ran {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        key: DiskDelta,
+        assess: impl FnOnce() -> (Severity, FsckReport),
+    ) -> (Severity, FsckReport) {
+        self.memo.get_or_capture(key, assess)
+    }
+
+    /// The store's counters so far.
+    pub fn stats(&self) -> SeverityMemoStats {
+        SeverityMemoStats {
+            assessed: self.memo.captures(),
+            hits: self.memo.hits(),
+            bypasses: self.bypasses.load(Ordering::Relaxed),
         }
-        result.clone()
-    }
-
-    /// Number of golden captures actually executed (one per distinct
-    /// key, regardless of how many rigs forked).
-    pub fn captures(&self) -> u64 {
-        self.captures.load(Ordering::Relaxed)
-    }
-
-    /// Number of requests served from the memo without executing.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 }
 
@@ -241,7 +308,8 @@ fn boot_base(
 
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state ([`Snapshot`] with `Arc`-shared memory, post-boot disk,
-/// filesystem manifest) plus the campaign-wide [`GoldenStore`].
+/// filesystem manifest) plus the campaign-wide [`GoldenStore`] and
+/// [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
 /// worker; each [`InjectorRig::fork`] builds a private copy-on-write
@@ -249,7 +317,8 @@ fn boot_base(
 /// the store. Nothing here is ever written after construction, so any
 /// number of threads may fork concurrently — and a worker that poisons
 /// its private rig (panic, sanitizer violation) can be handed a fresh
-/// fork with no way to have contaminated the base.
+/// fork with no way to have contaminated the base. Both stores start
+/// empty and fill lazily as forks ask.
 pub struct RigShared {
     image: KernelImage,
     config: RigConfig,
@@ -259,6 +328,7 @@ pub struct RigShared {
     manifest: BTreeMap<String, (u32, u32)>,
     n_modes: u32,
     store: GoldenStore,
+    severity: SeverityStore,
 }
 
 impl RigShared {
@@ -286,12 +356,18 @@ impl RigShared {
             manifest: base.manifest,
             n_modes,
             store: GoldenStore::default(),
+            severity: SeverityStore::default(),
         }))
     }
 
     /// The campaign-wide golden store.
     pub fn store(&self) -> &GoldenStore {
         &self.store
+    }
+
+    /// The campaign-wide severity-verdict store.
+    pub fn severity_store(&self) -> &SeverityStore {
+        &self.severity
     }
 
     /// Boot duration in cycles (identical for every fork).
@@ -304,10 +380,10 @@ impl RigShared {
 /// runs and coverage for every workload mode.
 ///
 /// Built either standalone ([`InjectorRig::new`]: boot + capture
-/// everything privately — the recompute-per-rig reference path) or as a
-/// copy-on-write fork of a shared base ([`InjectorRig::fork`]). The two
-/// are observationally identical; `tests/fork_equivalence.rs` proves it
-/// run by run.
+/// everything privately and reboot after every crash — the
+/// recompute-per-rig reference path) or as a copy-on-write fork of a
+/// shared base ([`InjectorRig::fork`]). The two are observationally
+/// identical; `tests/fork_equivalence.rs` proves it run by run.
 pub struct InjectorRig {
     /// The kernel image under test.
     pub image: KernelImage,
@@ -319,6 +395,8 @@ pub struct InjectorRig {
     manifest: BTreeMap<String, (u32, u32)>,
     golden: Vec<Arc<GoldenRun>>,
     metrics: Metrics,
+    /// The base this rig was forked from; `None` for the reference path.
+    shared: Option<Arc<RigShared>>,
 }
 
 /// Stable [`trace_outcome`] code for an [`Outcome`].
@@ -405,6 +483,7 @@ impl InjectorRig {
             manifest: base.manifest,
             golden: Vec::new(),
             metrics: Metrics::default(),
+            shared: None,
         };
 
         for mode in 0..n_modes {
@@ -417,12 +496,14 @@ impl InjectorRig {
     /// Forks a rig off a shared post-boot base: a private copy-on-write
     /// machine built from the shared snapshot, with golden runs
     /// resolved through the base's [`GoldenStore`] (captured on first
-    /// request per mode, shared afterwards).
+    /// request per mode, shared afterwards) and post-crash severity
+    /// verdicts through its [`SeverityStore`].
     ///
     /// Observationally identical to [`InjectorRig::new`] with the same
     /// image/files/config — same records, metrics, trace events — but
-    /// the boot happens once per base and each golden run once per
-    /// mode, instead of once per rig.
+    /// the boot happens once per base, each golden run once per mode
+    /// and each severity reboot once per post-crash disk, instead of
+    /// once per rig or per crash.
     ///
     /// # Errors
     ///
@@ -444,9 +525,10 @@ impl InjectorRig {
             manifest: shared.manifest.clone(),
             golden: Vec::new(),
             metrics: Metrics::default(),
+            shared: Some(Arc::clone(shared)),
         };
         for mode in 0..shared.n_modes {
-            let g = shared.store.get_or_capture(mode, || rig.capture_golden(mode))?;
+            let g = shared.store.get_or_capture(mode, || rig.capture_golden(mode).map(Arc::new))?;
             rig.golden.push(g);
         }
         Ok(rig)
@@ -930,7 +1012,44 @@ impl InjectorRig {
     /// unrecoverable fs or unbootable system → most severe; repairable
     /// inconsistencies → severe; else normal. Returns the fsck report
     /// for the record.
+    ///
+    /// A forked rig serves the verdict from its base's
+    /// [`SeverityStore`] when CPU 0's TLB cannot influence the reboot
+    /// ([`kfi_kernel::reboot_tlb_is_inert`]); the machine is then left
+    /// in its crashed state instead of the rebooted one. Otherwise, and
+    /// always on an [`InjectorRig::new`] rig, the machine reboots in
+    /// place. The memo is also skipped while a wall-clock abort flag is
+    /// armed (the watchdog may cut a reboot short) and on a machine the
+    /// sanitizer has flagged: neither may store a verdict for others.
     pub fn assess_severity(&mut self) -> (Severity, FsckReport) {
+        let Some(shared) = self.shared.clone() else { return self.reboot_verdict() };
+        if self.machine.abort_armed() || self.machine.sanitizer_violation_count() > 0 {
+            return self.reboot_verdict();
+        }
+        if !kfi_kernel::reboot_tlb_is_inert(self.machine.tlb(0).entries()) {
+            shared.severity.bypasses.fetch_add(1, Ordering::Relaxed);
+            return self.reboot_verdict();
+        }
+        let key = self.disk_delta();
+        shared.severity.get_or_assess(key, || self.reboot_verdict())
+    }
+
+    /// The disk as it stands, as a [`DiskDelta`] against the post-boot
+    /// image (built from the sectors written since the last reset).
+    fn disk_delta(&self) -> DiskDelta {
+        let disk = self.machine.disk.as_ref().expect("disk");
+        disk.changed_sectors(&self.post_boot_disk, self.snapshot.id())
+            .into_iter()
+            .map(|s| {
+                let off = s as usize * SECTOR_SIZE;
+                (s, disk.bytes()[off..off + SECTOR_SIZE].to_vec())
+            })
+            .collect()
+    }
+
+    /// The reference assessment behind [`InjectorRig::assess_severity`]:
+    /// fsck, then a reboot in place on the same disk.
+    fn reboot_verdict(&mut self) -> (Severity, FsckReport) {
         let disk = self.machine.disk.as_ref().expect("disk").bytes().to_vec();
         let report = fsck(&disk, &self.manifest);
         if let FsckReport::Unrecoverable { .. } = report {
@@ -982,10 +1101,10 @@ mod tests {
     #[test]
     fn golden_store_captures_each_key_exactly_once() {
         let store = GoldenStore::default();
-        let a = store.get_or_capture(0, || Ok(dummy_golden(0))).unwrap();
+        let a = store.get_or_capture(0, || Ok(Arc::new(dummy_golden(0)))).unwrap();
         let b = store.get_or_capture(0, || panic!("second request must not capture")).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "both callers share one GoldenRun");
-        let c = store.get_or_capture(1, || Ok(dummy_golden(1))).unwrap();
+        let c = store.get_or_capture(1, || Ok(Arc::new(dummy_golden(1)))).unwrap();
         assert_eq!(c.mode, 1);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(store.captures(), 2);
@@ -1006,6 +1125,64 @@ mod tests {
         assert_eq!(store.hits(), 1);
     }
 
+    fn verdict(severity: Severity) -> (Severity, FsckReport) {
+        (severity, FsckReport::Clean)
+    }
+
+    #[test]
+    fn severity_store_assesses_each_disk_exactly_once() {
+        let store = SeverityStore::default();
+        let got = store.get_or_assess(Vec::new(), || verdict(Severity::Normal));
+        assert_eq!(got.0, Severity::Normal);
+        let again = store.get_or_assess(Vec::new(), || panic!("a known disk must not reboot"));
+        assert_eq!(again.0, Severity::Normal);
+        assert_eq!(store.stats(), SeverityMemoStats { assessed: 1, hits: 1, bypasses: 0 });
+    }
+
+    #[test]
+    fn severity_keys_differing_in_one_sector_are_distinct() {
+        let store = SeverityStore::default();
+        let sector = vec![0u8; SECTOR_SIZE];
+        let mut flipped = sector.clone();
+        flipped[SECTOR_SIZE - 1] ^= 1;
+        let keys: [DiskDelta; 4] =
+            [Vec::new(), vec![(7, sector.clone())], vec![(7, flipped)], vec![(8, sector.clone())]];
+        let severities =
+            [Severity::Normal, Severity::Severe, Severity::MostSevere, Severity::Normal];
+        for (key, severity) in keys.iter().zip(severities) {
+            assert_eq!(store.get_or_assess(key.clone(), || verdict(severity)).0, severity);
+        }
+        for (key, severity) in keys.iter().zip(severities) {
+            let got = store.get_or_assess(key.clone(), || panic!("key {key:?} was assessed"));
+            assert_eq!(got.0, severity);
+        }
+        assert_eq!(store.stats(), SeverityMemoStats { assessed: 4, hits: 4, bypasses: 0 });
+    }
+
+    #[test]
+    fn severity_store_concurrent_askers_share_one_assessment() {
+        let store = SeverityStore::default();
+        let reboots = AtomicU64::new(0);
+        let key: DiskDelta = vec![(3, vec![0xab; SECTOR_SIZE])];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        store.get_or_assess(key.clone(), || {
+                            reboots.fetch_add(1, Ordering::Relaxed);
+                            verdict(Severity::Severe)
+                        })
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().unwrap().0, Severity::Severe);
+            }
+        });
+        assert_eq!(reboots.load(Ordering::Relaxed), 1, "one thread rebooted");
+        assert_eq!(store.stats(), SeverityMemoStats { assessed: 1, hits: 7, bypasses: 0 });
+    }
+
     #[test]
     fn golden_store_concurrent_askers_share_one_capture() {
         let store = Arc::new(GoldenStore::default());
@@ -1019,7 +1196,7 @@ mod tests {
                         store
                             .get_or_capture(0, || {
                                 captures.fetch_add(1, Ordering::Relaxed);
-                                Ok(dummy_golden(0))
+                                Ok(Arc::new(dummy_golden(0)))
                             })
                             .unwrap()
                     })

@@ -20,7 +20,7 @@ pub mod kbin;
 pub mod layout;
 pub mod mkfs;
 
-pub use boot::{boot, load_into, set_run_mode, BootConfig};
+pub use boot::{boot, load_into, reboot_tlb_is_inert, set_run_mode, BootConfig};
 pub use fsck::{fsck, FsckReport};
 pub use image::{build_kernel, KernelBuildOptions, KernelImage};
 pub use kbin::{build_with_runtime, UserProgram};

@@ -895,3 +895,29 @@ bad:
         m.console_string()
     );
 }
+
+#[test]
+fn reboot_resets_everything_but_cpu0_tlb() {
+    // A reboot by `load_into` on a machine that ran for a while must
+    // land in exactly the state a fresh `boot` gives — every CPU, the
+    // timer deadline, the device latches, memory — except CPU 0's TLB,
+    // which it deliberately keeps.
+    for cpus in [1, 2] {
+        let image = build_kernel(KernelBuildOptions { smp: cpus > 1, ..Default::default() })
+            .expect("kernel builds");
+        let disk = || mkfs(2048, &standard_fixtures()).disk;
+        let config = BootConfig {
+            machine: MachineConfig { cpus, ..Default::default() },
+            ..Default::default()
+        };
+        let fresh = boot(&image, disk(), &config);
+        let mut used = boot(&image, disk(), &config);
+        used.run(3_000_000);
+        used.cpu.dr = [1, 2, 3, 4];
+        assert!(used.snapshot() != fresh.snapshot(), "{cpus} CPUs: the run changed nothing");
+        kfi_kernel::load_into(&mut used, &image, config.run_mode);
+        assert!(used.snapshot() == fresh.snapshot(), "{cpus} CPUs: reboot left state behind");
+        assert!(used.tlb(0).entries().next().is_some(), "{cpus} CPUs: CPU 0's TLB was kept");
+        assert!(fresh.tlb(0).entries().next().is_none());
+    }
+}

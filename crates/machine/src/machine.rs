@@ -553,6 +553,41 @@ impl Machine {
         smp.ipi_arg = 0;
     }
 
+    /// Returns CPU 0's timer deadline and the block-device latches to
+    /// the values [`Machine::new`] gives them: the device half of a
+    /// machine reset. Call after [`Machine::reset_secondary_cpus`], so
+    /// the deadline lands on CPU 0's context.
+    pub fn reset_latches(&mut self) {
+        self.next_tick = self.config.timer_period;
+        self.blk_lba = 0;
+        self.blk_dma = 0;
+        self.blk_status = 0;
+    }
+
+    /// CPU `index`'s TLB: the live one for the active CPU, the parked
+    /// one for any other. Read-only, for host-side inspection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.cpus()`.
+    pub fn tlb(&self, index: usize) -> &Tlb {
+        match &self.smp {
+            None => {
+                assert_eq!(index, 0, "uniprocessor machine has only CPU 0");
+                &self.tlb
+            }
+            Some(smp) if index == smp.active => &self.tlb,
+            Some(smp) => &smp.ctxs[index].tlb,
+        }
+    }
+
+    /// True when a cooperative abort flag is installed (see
+    /// [`Machine::set_abort_flag`]): a [`Machine::run`] may then stop
+    /// short of its cycle budget for reasons outside the guest.
+    pub fn abort_armed(&self) -> bool {
+        self.abort.is_some()
+    }
+
     /// Cumulative decoded-instruction cache `(hits, misses,
     /// invalidations)` since construction. Like [`Machine::tlb_stats`],
     /// these survive [`Machine::restore`] — diff around a run for

@@ -97,6 +97,12 @@ impl Tlb {
         self.generation += 1;
     }
 
+    /// The resident translations as `(vpn, pfn, writable, user)`, in
+    /// slot order. Read-only: no counter or generation moves.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u32, bool, bool)> + '_ {
+        self.entries.iter().flatten().map(|e| (e.vpn, e.pfn, e.writable, e.user))
+    }
+
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

@@ -127,6 +127,30 @@ impl Ramdisk {
         self.dirty.iter().map(|w| w.count_ones()).sum()
     }
 
+    /// The sectors whose bytes differ from `base`, in ascending order.
+    /// When the disk was last restored from the image identified by
+    /// `id`, only the sectors written since are compared; otherwise
+    /// every sector is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has a different length than the disk.
+    pub fn changed_sectors(&self, base: &[u8], id: u64) -> Vec<u32> {
+        assert_eq!(base.len(), self.bytes.len(), "image size mismatch");
+        let differs = |s: &u32| {
+            let off = *s as usize * SECTOR_SIZE;
+            self.bytes[off..off + SECTOR_SIZE] != base[off..off + SECTOR_SIZE]
+        };
+        if self.synced_to == Some(id) {
+            let written = self.dirty.iter().enumerate().flat_map(|(w, word)| {
+                (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| (w * 64 + b) as u32)
+            });
+            written.filter(differs).collect()
+        } else {
+            (0..self.sectors()).filter(differs).collect()
+        }
+    }
+
     /// Number of sectors.
     pub fn sectors(&self) -> u32 {
         (self.bytes.len() / SECTOR_SIZE) as u32
@@ -259,6 +283,24 @@ mod tests {
         assert_eq!(f.bytes(), &base[..]);
         // Writes in the fork never leak into the base bytes.
         assert_eq!(base_disk.bytes(), &base[..]);
+    }
+
+    #[test]
+    fn changed_sectors_are_the_written_ones_that_differ() {
+        let base = vec![0u8; 8 * SECTOR_SIZE];
+        let mut d = Ramdisk::fork_from(&base, 1);
+        assert!(d.changed_sectors(&base, 1).is_empty());
+        d.write_sector(6, &[0x11; SECTOR_SIZE]);
+        d.write_sector(2, &[0x22; SECTOR_SIZE]);
+        // Written back with the base bytes: dirty, but unchanged.
+        d.write_sector(4, &[0; SECTOR_SIZE]);
+        assert_eq!(d.dirty_sector_count(), 3);
+        assert_eq!(d.changed_sectors(&base, 1), vec![2, 6]);
+        // Another baseline id: the dirty set proves nothing, every
+        // sector is compared, with the same answer.
+        assert_eq!(d.changed_sectors(&base, 2), vec![2, 6]);
+        d.bytes_mut()[SECTOR_SIZE * 7] = 1;
+        assert_eq!(d.changed_sectors(&base, 1), vec![2, 6, 7], "raw writes are seen");
     }
 
     #[test]
