@@ -89,11 +89,6 @@ pub struct ReproOptions {
     /// Test-only: as a coordinator, ask the first spawned worker to
     /// wedge its handshake (`--wedge-first-handshake`).
     pub wedge_first_handshake: bool,
-    /// Worker heartbeat interval in milliseconds (`--dist-hb-ms`).
-    pub dist_hb_ms: u64,
-    /// Coordinator silence budget before a lease expires, in
-    /// milliseconds (`--dist-hb-budget-ms`).
-    pub dist_hb_budget_ms: u64,
     /// Coordinator budget for a worker's boot + handshake, in
     /// milliseconds (`--dist-handshake-ms`).
     pub dist_handshake_ms: u64,
@@ -124,8 +119,6 @@ impl Default for ReproOptions {
             worker: false,
             worker_wedge_handshake: false,
             wedge_first_handshake: false,
-            dist_hb_ms: 100,
-            dist_hb_budget_ms: 5_000,
             dist_handshake_ms: 180_000,
         }
     }
@@ -188,8 +181,6 @@ Distributed runner:
   --dist-workers N      shard campaigns over N worker subprocesses under
                         lease-based fault tolerance
   --chaos SEED          chaos harness: randomly kill/stall/crash workers
-  --dist-hb-ms N        worker heartbeat interval (ms)
-  --dist-hb-budget-ms N coordinator silence budget before lease expiry (ms)
   --dist-handshake-ms N coordinator budget for worker boot+handshake (ms)
 
 Test-only: --inject-panic I,J,...  --inject-panic-persistent I,J,...
@@ -204,7 +195,6 @@ impl ReproOptions {
     /// `--matrix-kernels LIST`, `--matrix-workloads LIST`,
     /// `--matrix-subsystems LIST`, `--check`), the distributed-runner
     /// flags (`--dist-workers N`, `--chaos SEED`, `--worker`,
-    /// `--dist-hb-ms N`, `--dist-hb-budget-ms N`,
     /// `--dist-handshake-ms N`, plus the test-only
     /// `--worker-wedge-handshake` / `--wedge-first-handshake`) and the
     /// test-only `--inject-panic I,J,...` /
@@ -275,15 +265,6 @@ impl ReproOptions {
                 "--worker" => o.worker = true,
                 "--worker-wedge-handshake" => o.worker_wedge_handshake = true,
                 "--wedge-first-handshake" => o.wedge_first_handshake = true,
-                "--dist-hb-ms" => {
-                    i += 1;
-                    o.dist_hb_ms = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.dist_hb_ms);
-                }
-                "--dist-hb-budget-ms" => {
-                    i += 1;
-                    o.dist_hb_budget_ms =
-                        args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.dist_hb_budget_ms);
-                }
                 "--dist-handshake-ms" => {
                     i += 1;
                     o.dist_handshake_ms =
@@ -387,7 +368,6 @@ impl ReproOptions {
             seed: self.seed,
             threads: self.threads,
             max_per_function: self.cap,
-            max_per_cell: None,
             profiler: ProfilerConfig::default(),
             rig: self.rig_config(),
             suite: kfi_workloads::Suite::Traffic,
@@ -430,8 +410,6 @@ impl ReproOptions {
             a.push("--wall-budget-ms".into());
             a.push(ms.to_string());
         }
-        a.push("--dist-hb-ms".into());
-        a.push(self.dist_hb_ms.to_string());
         a
     }
 
@@ -446,22 +424,16 @@ impl ReproOptions {
         );
         cfg.chaos = self.chaos;
         cfg.handshake_budget = std::time::Duration::from_millis(self.dist_handshake_ms);
-        cfg.heartbeat_budget = std::time::Duration::from_millis(self.dist_hb_budget_ms);
         cfg.journal = self.journal.clone();
         cfg.resume = self.resume;
         cfg.wedge_first_handshake = self.wedge_first_handshake;
         cfg
     }
 
-    /// Converts to a worker policy. The journal fields never propagate
-    /// to workers: only the coordinator journals.
+    /// Converts to a worker policy (only the coordinator journals).
     pub fn worker_config(&self) -> kfi_core::WorkerConfig {
         kfi_core::WorkerConfig {
-            heartbeat_interval: std::time::Duration::from_millis(self.dist_hb_ms.max(1)),
-            supervisor: SupervisorConfig {
-                wall_budget: self.wall_budget_ms.map(std::time::Duration::from_millis),
-                ..SupervisorConfig::default()
-            },
+            wall_budget: self.wall_budget_ms.map(std::time::Duration::from_millis),
             wedge_handshake: self.worker_wedge_handshake,
         }
     }
@@ -474,7 +446,6 @@ impl ReproOptions {
             journal: self.journal.clone(),
             resume: self.resume,
             inject_panic: self.inject_panic.clone(),
-            ..SupervisorConfig::default()
         }
     }
 }
@@ -707,17 +678,8 @@ pub fn run_study_dist(
         cfg.chaos.map(|s| format!(" (chaos seed {s})")).unwrap_or_default()
     );
     let dist = kfi_core::run_study_dist(exp, &cfg).expect("journal usable");
-    let study = dist.study;
-    for (l, r) in &study.campaigns {
-        let t = r.total();
-        eprintln!(
-            "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
-            t.injected,
-            t.activated,
-            t.crash_or_hang()
-        );
-    }
     let rep = &dist.report;
+    print_study_summary(&dist.study, cfg.journal.is_some(), rep.resumed_runs, rep.journal_flushes);
     eprintln!(
         "[kfi] dist: spawned={} respawned={} quarantined={} handshake_timeouts={} \
          leases_expired={} requeued={} degraded={} chaos_kills={} chaos_stalls={} \
@@ -734,13 +696,24 @@ pub fn run_study_dist(
         rep.chaos_exits,
         rep.wire_bytes_streamed
     );
-    if cfg.journal.is_some() {
+    (dist.study, dist.report)
+}
+
+/// The stderr summary both study front ends print: one line per
+/// campaign and, when journaling, the resume/fsync line.
+fn print_study_summary(study: &StudyResult, journaled: bool, resumed: usize, flushes: u64) {
+    for (l, r) in &study.campaigns {
+        let t = r.total();
         eprintln!(
-            "[kfi] journal: {} runs resumed, {} fsync batches",
-            rep.resumed_runs, rep.journal_flushes
+            "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
+            t.injected,
+            t.activated,
+            t.crash_or_hang()
         );
     }
-    (study, dist.report)
+    if journaled {
+        eprintln!("[kfi] journal: {resumed} runs resumed, {flushes} fsync batches");
+    }
 }
 
 /// Runs all three campaigns, printing progress.
@@ -768,23 +741,13 @@ pub fn run_study_supervised(
         exp.config.threads
     );
     let supervised = kfi_core::run_study_supervised(exp, cfg).expect("journal usable");
-    let study = supervised.study;
-    for (l, r) in &study.campaigns {
-        let t = r.total();
-        eprintln!(
-            "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
-            t.injected,
-            t.activated,
-            t.crash_or_hang()
-        );
-    }
     let rep = &supervised.report;
-    if cfg.journal.is_some() {
-        eprintln!(
-            "[kfi] journal: {} runs resumed, {} fsync batches",
-            rep.resumed_runs, rep.journal_flushes
-        );
-    }
+    print_study_summary(
+        &supervised.study,
+        cfg.journal.is_some(),
+        rep.resumed_runs,
+        rep.journal_flushes,
+    );
     if let Some(s) = exp.severity_memo_stats() {
         eprintln!(
             "[kfi] severity memo: {} assessed, {} memo hits, {} dirty-TLB bypasses",
@@ -810,5 +773,5 @@ pub fn run_study_supervised(
             q.path.as_deref().map(|p| format!(" [{}]", p.display())).unwrap_or_default()
         );
     }
-    (study, supervised.report)
+    (supervised.study, supervised.report)
 }

@@ -20,6 +20,7 @@ use kfi_machine::{
     Counters, ExecTier, Machine, MachineConfig, MonitorEvent, RunExit, SeededBugs, StepEvent,
     TrapRecord,
 };
+use kfi_trace::{fnv1a, FNV1A_BASIS};
 
 /// How often (in steps) the full architectural state is compared during
 /// lockstep; step events are compared every step regardless.
@@ -124,7 +125,7 @@ impl ArchState {
             counters: m.counters(),
             tlb_stats: if mask.tlb_stats { m.tlb_stats() } else { (0, 0) },
             decode_stats: if mask.decode_stats { m.decode_stats() } else { (0, 0, 0) },
-            mem_digest: fnv1a(m.mem.slice(0, m.mem.size())),
+            mem_digest: fnv1a(FNV1A_BASIS, m.mem.slice(0, m.mem.size())),
             smp_digest: if mask.smp_digest { m.smp_digest() } else { 0 },
         }
     }
@@ -165,16 +166,6 @@ impl ArchState {
         cmp!(smp_digest);
         out
     }
-}
-
-/// 64-bit FNV-1a.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// The first observed disagreement between paired machines.
@@ -773,11 +764,5 @@ mod tests {
             delivered += m.counters().ipis;
         }
         assert!(delivered > 0, "no seed delivered a reschedule doorbell");
-    }
-
-    #[test]
-    fn fnv_digest_distinguishes_memory() {
-        assert_ne!(fnv1a(&[0, 1, 2]), fnv1a(&[0, 1, 3]));
-        assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -16,39 +16,40 @@
 //! wedged handshake expires the lease. Expiry is fenced — the worker is
 //! SIGKILLed *before* its jobs are reassigned — so a presumed-dead
 //! worker can never race a successor. Failed workers are respawned
-//! with exponential backoff up to a bounded respawn budget; a slot
+//! with exponential backoff up to [`MAX_RESPAWNS`] times; a slot
 //! that exhausts its budget is quarantined, and if every slot dies the
 //! coordinator degrades to running the remaining jobs in-process. A
 //! job that expires too many leases in a row is recorded as
 //! [`kfi_injector::Outcome::RigFault`] instead of looping forever.
 //! Either way, lost runs are never silent.
 //!
-//! **Merge determinism.** Each run's record and metrics delta is a
-//! pure function of its `(target, mode)` — independent of which
-//! worker executes it, in which order, after how many retries (the
+//! **Merge determinism.** Each run's record and metrics delta is a pure
+//! function of its `(target, mode)` — independent of which worker
+//! executes it, in which order, after how many retries (the
 //! retry-equivalence proptests pin this). Accepted results are deduped
 //! by plan index (first completion wins; duplicates are byte-identical
-//! by the same argument) and flow through the supervisor's plan-index
-//! reorder buffer into the journal. CSV, report and journal bytes are
-//! therefore identical at any worker count, any arrival order and any
-//! kill schedule — which the built-in chaos mode ([`DistConfig::chaos`]
-//! randomly SIGKILLs, stalls and crashes workers mid-campaign) proves
-//! in-tree. None of this is uniprocessor-specific: an SMP guest
-//! (`--cpus N`, forwarded to workers in their spawn args because it is
-//! plan-determining) interleaves as a pure function of the machine's
-//! own seed and quantum, so no host property — process boundaries,
-//! lease churn, the kill schedule — can reach the guest schedule.
+//! by the same argument) and filed in the same campaign ledger the
+//! in-process supervisor uses ([`crate::supervisor`]): one resume
+//! split, one plan-index-ordered journal path, one merge. CSV, report
+//! and journal bytes are therefore identical at any worker count, any
+//! arrival order and any kill schedule — which the built-in chaos mode
+//! ([`DistConfig::chaos`] randomly SIGKILLs, stalls and crashes workers
+//! mid-campaign) proves in-tree. None of this is uniprocessor-specific:
+//! an SMP guest (`--cpus N`, forwarded to workers in their spawn args
+//! because it is plan-determining) interleaves as a pure function of
+//! the machine's own seed and quantum, so no host property — process
+//! boundaries, lease churn, the kill schedule — can reach the guest
+//! schedule.
 
 use crate::experiment::{CampaignResult, Experiment, StudyResult};
-use crate::journal::{Journal, JournalEntry};
 use crate::supervisor::{
-    open_journal, process_job, rig_fault_record, Job, JobDone, JournalOrder, SupervisorConfig,
-    WatchSlot,
+    finish_here, process_job, run_journaled, watchdog, Job, JobDone, Ledger, Plan,
+    SupervisorConfig, WatchSlot,
 };
 use kfi_injector::wire::{decode_msg, encode_msg, Msg, PROTOCOL_VERSION};
-use kfi_injector::{Campaign, InjectionTarget, InjectorRig, RunRecord};
+use kfi_injector::{Campaign, InjectorRig, RunRecord};
 use kfi_trace::frame::{write_frame, StreamDecoder};
-use kfi_trace::{outcome as trace_outcome, Metrics};
+use kfi_trace::{fnv1a, Metrics, FNV1A_BASIS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -59,14 +60,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-/// 64-bit FNV-1a, chained: feeds `bytes` into `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        state ^= *b as u64;
-        state = state.wrapping_mul(0x100_0000_01b3);
-    }
-    state
-}
+/// Silence budget after which a handshaken worker's lease expires.
+/// Workers heartbeat every [`HEARTBEAT_INTERVAL`] even mid-run, so this
+/// bounds detection latency for SIGKILLed, stalled, or livelocked
+/// workers.
+pub const HEARTBEAT_BUDGET: Duration = Duration::from_secs(5);
+/// Interval between a worker's heartbeats.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
+/// Respawns granted to each slot before it is quarantined.
+pub const MAX_RESPAWNS: usize = 2;
+/// Backoff before the first respawn of a slot; doubles per respawn.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Lease expiries a single plan index may cause before it is recorded
+/// as a rig fault instead of reassigned again — a job that reliably
+/// kills workers must not starve the campaign.
+pub const MAX_JOB_EXPIRIES: usize = 4;
 
 /// Fingerprint of the full deterministic study plan (seed plus every
 /// campaign's `(target, mode)` sequence). Coordinator and worker both
@@ -74,12 +82,14 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 /// whose fingerprint differs, so a mixed build or drifted flag set can
 /// never smuggle foreign records into the dataset.
 pub fn plan_fingerprint(exp: &Experiment) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv1a(h, &exp.config.seed.to_le_bytes());
-    for campaign in [Campaign::A, Campaign::B, Campaign::C] {
+    fingerprint(exp.config.seed, &exp.study_plan())
+}
+
+fn fingerprint(seed: u64, plans: &[(Campaign, Plan)]) -> u64 {
+    let mut h = fnv1a(FNV1A_BASIS, &seed.to_le_bytes());
+    for (campaign, plan) in plans {
         h = fnv1a(h, &[campaign.letter() as u8]);
-        for t in exp.plan(campaign) {
-            let mode = exp.mode_for(&t);
+        for (t, mode) in plan {
             h = fnv1a(h, t.function.as_bytes());
             h = fnv1a(h, t.subsystem.as_bytes());
             h = fnv1a(h, &t.insn_addr.to_le_bytes());
@@ -173,18 +183,6 @@ pub struct DistConfig {
     /// (it builds the kernel and profiles the workloads first). A
     /// wedged worker is reaped and respawned when this expires.
     pub handshake_budget: Duration,
-    /// Silence budget after which a handshaken worker's lease expires.
-    /// Workers heartbeat every ~100 ms even mid-run, so this bounds
-    /// detection latency for SIGKILLed, stalled, or livelocked workers.
-    pub heartbeat_budget: Duration,
-    /// Respawns granted to each slot before it is quarantined.
-    pub max_respawns: usize,
-    /// Backoff before the first respawn of a slot; doubles per respawn.
-    pub backoff_base: Duration,
-    /// Lease expiries a single plan index may cause before it is
-    /// recorded as a rig fault instead of reassigned again — a job
-    /// that reliably kills workers must not starve the campaign.
-    pub max_job_expiries: usize,
     /// Journal path; accepted runs are checkpointed here in plan-index
     /// order, exactly as the in-process supervisor would.
     pub journal: Option<PathBuf>,
@@ -207,10 +205,6 @@ impl DistConfig {
             workers: workers.max(1),
             chaos: None,
             handshake_budget: Duration::from_secs(180),
-            heartbeat_budget: Duration::from_secs(5),
-            max_respawns: 2,
-            backoff_base: Duration::from_millis(50),
-            max_job_expiries: 4,
             journal: None,
             resume: false,
             wedge_first_handshake: false,
@@ -263,27 +257,16 @@ pub struct DistStudy {
     pub report: DistReport,
 }
 
-/// Worker-side policy for [`run_worker`].
-#[derive(Debug, Clone)]
+/// Worker-side policy for [`run_worker`]. Only the coordinator
+/// journals, so a worker has no journal to configure.
+#[derive(Debug, Clone, Default)]
 pub struct WorkerConfig {
-    /// Interval between heartbeats.
-    pub heartbeat_interval: Duration,
-    /// Per-run supervision policy (retries, wall budget). The journal
-    /// fields must stay unset: only the coordinator journals.
-    pub supervisor: SupervisorConfig,
+    /// Wall-clock budget per run, as
+    /// [`SupervisorConfig::wall_budget`]; `None` disables the watchdog.
+    pub wall_budget: Option<Duration>,
     /// Test-only: park before the handshake, exercising the
     /// coordinator's handshake-timeout reap.
     pub wedge_handshake: bool,
-}
-
-impl Default for WorkerConfig {
-    fn default() -> WorkerConfig {
-        WorkerConfig {
-            heartbeat_interval: Duration::from_millis(100),
-            supervisor: SupervisorConfig::default(),
-            wedge_handshake: false,
-        }
-    }
 }
 
 /// Bytes of the `record + metrics` portion of a JobDone payload — the
@@ -342,25 +325,13 @@ struct Slot {
 }
 
 /// Per-campaign scheduling state.
-struct CampaignState {
-    campaign: Campaign,
-    plan: Vec<(InjectionTarget, u32)>,
+struct CampaignState<'j> {
+    /// The campaign's books: outcomes (first completion wins), journal.
+    ledger: Ledger<'j>,
     /// Unassigned plan indices.
     queue: VecDeque<usize>,
-    /// Accepted plan indices (first completion wins).
-    accepted: BTreeSet<usize>,
-    /// Indices replayed from the journal; never executed or accepted.
-    skipped: BTreeSet<usize>,
     /// Lease expiries caused per index.
     expiries: BTreeMap<usize, usize>,
-    order: JournalOrder,
-    done: Vec<JobDone>,
-}
-
-impl CampaignState {
-    fn remaining(&self) -> usize {
-        self.plan.len() - self.skipped.len() - self.accepted.len()
-    }
 }
 
 /// The coordinator: worker pool + lease table + failure policy.
@@ -389,8 +360,9 @@ struct Pool<'a> {
 }
 
 impl<'a> Pool<'a> {
-    fn new(exp: &'a Experiment, cfg: &'a DistConfig, total_jobs: usize) -> Pool<'a> {
+    fn new(exp: &'a Experiment, cfg: &'a DistConfig, plans: &[(Campaign, Plan)]) -> Pool<'a> {
         let (tx, rx) = mpsc::channel();
+        let total_jobs = plans.iter().map(|(_, plan)| plan.len()).sum();
         let chaos = match cfg.chaos {
             Some(seed) => ChaosPlan::new(seed, total_jobs).events.into(),
             None => VecDeque::new(),
@@ -409,7 +381,7 @@ impl<'a> Pool<'a> {
         Pool {
             exp,
             cfg,
-            fingerprint: plan_fingerprint(exp),
+            fingerprint: fingerprint(exp.config.seed, plans),
             slots,
             tx,
             rx,
@@ -470,7 +442,7 @@ impl<'a> Pool<'a> {
 
     /// Expires slot `i`'s lease (if any), requeueing its outstanding
     /// indices, and schedules a respawn (or retires the slot).
-    fn expire(&mut self, i: usize, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn expire(&mut self, i: usize, st: &mut CampaignState<'_>) {
         self.kill_slot(i);
         let lease = match std::mem::replace(&mut self.slots[i].state, SlotState::Idle) {
             SlotState::Leased(l) => Some(l),
@@ -480,24 +452,17 @@ impl<'a> Pool<'a> {
             self.report.leases_expired += 1;
             self.counters.leases_expired += 1;
             for index in lease.outstanding.into_iter().rev() {
-                if st.accepted.contains(&index) {
+                if st.ledger.is_done(index) {
                     continue;
                 }
                 let n = st.expiries.entry(index).or_insert(0);
                 *n += 1;
-                if *n > self.cfg.max_job_expiries {
+                if *n > MAX_JOB_EXPIRIES {
                     // Persistent worker-killer: record the loss instead
                     // of reassigning it forever.
-                    let (target, mode) = st.plan[index].clone();
-                    let job = Job { index, target, mode };
-                    let mut sup = Metrics::default();
-                    sup.runs += 1;
-                    sup.record_outcome(trace_outcome::RIG_FAULT);
-                    let record = rig_fault_record(
-                        &job,
-                        &format!("expired {n} leases (worker lost each time)"),
-                    );
-                    self.accept(st, journal, index, record, sup);
+                    let msg = format!("expired {n} leases (worker lost each time)");
+                    let done = JobDone::rig_fault(&st.ledger.job(index), &msg, Metrics::default());
+                    self.accept(st, done);
                 } else {
                     self.report.jobs_requeued += 1;
                     st.queue.push_front(index);
@@ -505,11 +470,11 @@ impl<'a> Pool<'a> {
             }
         }
         let slot = &mut self.slots[i];
-        if slot.respawns >= self.cfg.max_respawns {
+        if slot.respawns >= MAX_RESPAWNS {
             slot.state = SlotState::Retired;
             self.report.workers_quarantined += 1;
         } else {
-            let backoff = self.cfg.backoff_base * (1u32 << slot.respawns.min(16));
+            let backoff = BACKOFF_BASE * (1u32 << slot.respawns.min(16));
             slot.state = SlotState::Respawning { at: Instant::now() + backoff };
             slot.respawns += 1;
             self.report.workers_respawned += 1;
@@ -517,51 +482,31 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// Accepts one result for a plan index: dedup, validate against the
-    /// plan, merge, journal in plan order.
-    fn accept(
-        &mut self,
-        st: &mut CampaignState,
-        journal: &mut Option<Journal>,
-        index: usize,
-        record: RunRecord,
-        metrics: Metrics,
-    ) {
-        if index >= st.plan.len() || st.accepted.contains(&index) || st.skipped.contains(&index) {
+    /// Accepts one result for a plan index: validate it against the
+    /// plan (index range, dedup, target and mode — results come from
+    /// another process), then file it in the ledger.
+    fn accept(&mut self, st: &mut CampaignState<'_>, done: JobDone) {
+        let index = done.index;
+        let Some((target, mode)) = st.ledger.plan().get(index) else { return };
+        if st.ledger.is_done(index) || done.record.target != *target || done.record.mode != *mode {
+            // Duplicate, or a stale or foreign result (e.g. an old
+            // campaign's index arriving late from a killed worker's
+            // pipe): drop it.
             return;
         }
-        let (target, mode) = &st.plan[index];
-        if record.target != *target || record.mode != *mode {
-            // Stale or foreign result (e.g. an old campaign's index
-            // arriving late from a killed worker's pipe): drop it.
-            return;
-        }
-        st.accepted.insert(index);
         self.total_accepted += 1;
-        let wire_len = record_wire_len(&record, &metrics);
+        let wire_len = record_wire_len(&done.record, &done.metrics);
         self.counters.wire_bytes_streamed += wire_len;
         self.report.wire_bytes_streamed += wire_len;
         if let Some(pos) = st.queue.iter().position(|q| *q == index) {
             st.queue.remove(pos);
         }
-        if let Some(j) = journal.as_mut() {
-            st.order.held.insert(
-                index,
-                JournalEntry {
-                    campaign: st.campaign.letter(),
-                    index,
-                    record: record.clone(),
-                    metrics: metrics.clone(),
-                },
-            );
-            st.order.drain(j);
-        }
-        st.done.push(JobDone { index, record, metrics, quarantine: None });
+        st.ledger.record(done);
     }
 
     /// Grants a fresh lease chunk to an idle worker.
-    fn grant(&mut self, i: usize, st: &mut CampaignState) {
-        let n = chunk_size(st.plan.len(), self.cfg.workers);
+    fn grant(&mut self, i: usize, st: &mut CampaignState<'_>) {
+        let n = chunk_size(st.ledger.plan().len(), self.cfg.workers);
         let mut indices = Vec::with_capacity(n);
         while indices.len() < n {
             match st.queue.pop_front() {
@@ -574,10 +519,10 @@ impl<'a> Pool<'a> {
         }
         self.lease_seq += 1;
         let id = self.lease_seq;
-        self.lease_campaign.insert(id, st.campaign.letter());
+        self.lease_campaign.insert(id, st.ledger.campaign().letter());
         let msg = Msg::LeaseGrant {
             lease: id,
-            campaign: st.campaign,
+            campaign: st.ledger.campaign(),
             indices: indices.iter().map(|v| *v as u64).collect(),
         };
         let sent = match self.slots[i].stdin.as_mut() {
@@ -592,11 +537,11 @@ impl<'a> Pool<'a> {
             for idx in indices.into_iter().rev() {
                 st.queue.push_front(idx);
             }
-            self.expire(i, st, &mut None);
+            self.expire(i, st);
         }
     }
 
-    fn handle_msg(&mut self, ev: RxEvent, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn handle_msg(&mut self, ev: RxEvent, st: &mut CampaignState<'_>) {
         let i = ev.slot;
         let current = ev.gen == self.slots[i].gen;
         let Some(msg) = ev.msg else {
@@ -604,7 +549,7 @@ impl<'a> Pool<'a> {
             if current
                 && !matches!(self.slots[i].state, SlotState::Respawning { .. } | SlotState::Retired)
             {
-                self.expire(i, st, journal);
+                self.expire(i, st);
             }
             return;
         };
@@ -612,13 +557,14 @@ impl<'a> Pool<'a> {
         // the bytes were in flight before the fence, and determinism
         // makes them identical to what a reassigned worker produces.
         if let Msg::JobDone { lease, index, record, metrics } = msg {
-            if self.lease_campaign.get(&lease) == Some(&st.campaign.letter()) {
-                self.accept(st, journal, index as usize, record, *metrics);
+            if self.lease_campaign.get(&lease) == Some(&st.ledger.campaign().letter()) {
+                let index = index as usize;
+                self.accept(st, JobDone { index, record, metrics: *metrics, quarantine: None });
                 if current {
                     self.slots[i].last_seen = Instant::now();
                     if let SlotState::Leased(l) = &mut self.slots[i].state {
                         if l.id == lease {
-                            l.outstanding.remove(&(index as usize));
+                            l.outstanding.remove(&index);
                             if l.outstanding.is_empty() {
                                 self.slots[i].state = SlotState::Idle;
                             }
@@ -658,7 +604,7 @@ impl<'a> Pool<'a> {
     }
 
     /// Fires any chaos events whose trigger count has been reached.
-    fn fire_chaos(&mut self, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn fire_chaos(&mut self, st: &mut CampaignState<'_>) {
         while let Some(ev) = self.chaos.front() {
             if self.total_accepted < ev.at_done {
                 break;
@@ -680,7 +626,7 @@ impl<'a> Pool<'a> {
                 ChaosAction::Kill => {
                     self.report.chaos_kills += 1;
                     self.counters.chaos_kills += 1;
-                    self.expire(victim, st, journal);
+                    self.expire(victim, st);
                 }
                 ChaosAction::Stall => {
                     self.report.chaos_stalls += 1;
@@ -699,23 +645,23 @@ impl<'a> Pool<'a> {
     }
 
     /// One scheduling pass: deadlines, respawns, lease grants, chaos.
-    fn tick(&mut self, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn tick(&mut self, st: &mut CampaignState<'_>) {
         let now = Instant::now();
         for i in 0..self.slots.len() {
             match self.slots[i].state {
                 SlotState::Handshaking { deadline } => {
                     if now >= deadline {
                         self.report.handshake_timeouts += 1;
-                        self.expire(i, st, journal);
+                        self.expire(i, st);
                     }
                 }
                 SlotState::Idle | SlotState::Leased(_) => {
-                    if now.duration_since(self.slots[i].last_seen) > self.cfg.heartbeat_budget {
-                        self.expire(i, st, journal);
+                    if now.duration_since(self.slots[i].last_seen) > HEARTBEAT_BUDGET {
+                        self.expire(i, st);
                     }
                 }
                 SlotState::Respawning { at } => {
-                    if now >= at && st.remaining() > 0 {
+                    if now >= at && st.ledger.remaining() > 0 {
                         self.spawn_worker(i);
                     }
                 }
@@ -727,7 +673,7 @@ impl<'a> Pool<'a> {
                 self.grant(i, st);
             }
         }
-        self.fire_chaos(st, journal);
+        self.fire_chaos(st);
     }
 
     /// True when no slot can ever make progress again.
@@ -808,138 +754,62 @@ fn spawn_reader(
 }
 
 /// Runs one campaign's plan over the pool.
-fn run_campaign_dist(
-    pool: &mut Pool<'_>,
-    campaign: Campaign,
-    journal: &mut Option<Journal>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-) -> CampaignResult {
-    let exp = pool.exp;
-    let plan: Vec<(InjectionTarget, u32)> = exp
-        .plan(campaign)
-        .into_iter()
-        .map(|t| {
-            let mode = exp.mode_for(&t);
-            (t, mode)
-        })
-        .collect();
-    let functions_injected = {
-        let mut fs: Vec<&str> = plan.iter().map(|(t, _)| t.function.as_str()).collect();
-        fs.sort_unstable();
-        fs.dedup();
-        fs.len()
-    };
-
-    // Resume: a journaled entry only replays when it matches the plan
-    // exactly, mirroring the in-process supervisor.
-    let empty = BTreeMap::new();
-    let journaled = resumed.get(&campaign.letter()).unwrap_or(&empty);
-    let mut done: Vec<JobDone> = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut skipped = BTreeSet::new();
-    for (index, (target, mode)) in plan.iter().enumerate() {
-        match journaled.get(&index) {
-            Some(e) if e.record.target == *target && e.record.mode == *mode => {
-                skipped.insert(index);
-                done.push(JobDone {
-                    index,
-                    record: e.record.clone(),
-                    metrics: e.metrics.clone(),
-                    quarantine: None,
-                });
-            }
-            _ => queue.push_back(index),
-        }
-    }
-    pool.report.resumed_runs += skipped.len();
-
-    let mut st = CampaignState {
-        campaign,
-        plan,
-        queue,
-        accepted: BTreeSet::new(),
-        skipped: skipped.clone(),
-        expiries: BTreeMap::new(),
-        order: JournalOrder::new(skipped),
-        done,
-    };
-
-    while st.remaining() > 0 {
+fn run_campaign_dist(pool: &mut Pool<'_>, ledger: Ledger<'_>) -> CampaignResult {
+    pool.report.resumed_runs += ledger.resumed_runs();
+    let queue = ledger.pending().collect();
+    let mut st = CampaignState { ledger, queue, expiries: BTreeMap::new() };
+    while st.ledger.remaining() > 0 {
         if pool.collapsed() {
-            degrade_in_process(pool, &mut st, journal);
+            degrade_in_process(pool, &mut st);
             break;
         }
-        pool.tick(&mut st, journal);
+        pool.tick(&mut st);
         match pool.rx.recv_timeout(Duration::from_millis(20)) {
             Ok(ev) => {
-                pool.handle_msg(ev, &mut st, journal);
+                pool.handle_msg(ev, &mut st);
                 // Drain whatever else is already queued before the next
                 // scheduling pass.
                 while let Ok(ev) = pool.rx.try_recv() {
-                    pool.handle_msg(ev, &mut st, journal);
+                    pool.handle_msg(ev, &mut st);
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                degrade_in_process(pool, &mut st, journal);
+                degrade_in_process(pool, &mut st);
                 break;
             }
         }
     }
-
-    st.done.sort_by_key(|d| d.index);
-    let mut metrics = Metrics::default();
-    let mut records = Vec::with_capacity(st.done.len());
-    for d in st.done {
-        metrics.merge(&d.metrics);
-        records.push(d.record);
-    }
+    let (mut result, _) = st.ledger.finish();
     // Fold in this campaign's coordinator counters. They are excluded
     // from the CSV and report surfaces (like `journal_flushes`), so the
     // golden output stays byte-identical to the in-process supervisor.
-    metrics.merge(&std::mem::take(&mut pool.counters));
-    CampaignResult { campaign, records, functions_injected, metrics }
+    result.metrics.merge(&std::mem::take(&mut pool.counters));
+    result
 }
 
 /// The pool is gone: finish the campaign on this thread so it always
 /// completes — the supervisor's main-thread fallback, one level up.
-fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState, journal: &mut Option<Journal>) {
+fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState<'_>) {
     // Reclaim every index still outstanding on an expired-but-unreaped
     // lease (collapse can race the last expiry).
-    let mut outstanding: Vec<usize> = Vec::new();
+    let mut indices: Vec<usize> = st.queue.drain(..).collect();
     for slot in &mut pool.slots {
         if let SlotState::Leased(l) = std::mem::replace(&mut slot.state, SlotState::Retired) {
-            outstanding.extend(l.outstanding);
+            for idx in l.outstanding {
+                if !indices.contains(&idx) {
+                    indices.push(idx);
+                }
+            }
         }
     }
-    for idx in outstanding {
-        if !st.accepted.contains(&idx) && !st.queue.contains(&idx) {
-            st.queue.push_back(idx);
-        }
-    }
-    let sup = SupervisorConfig::default();
-    let slot = WatchSlot::new();
-    let mut rig: Option<InjectorRig> = None;
-    while let Some(index) = st.queue.pop_front() {
-        if st.accepted.contains(&index) {
-            continue;
-        }
-        let (target, mode) = st.plan[index].clone();
-        let job = Job { index, target, mode };
+    let jobs: Vec<Job> =
+        indices.into_iter().filter(|i| !st.ledger.is_done(*i)).map(|i| st.ledger.job(i)).collect();
+    let exp = pool.exp;
+    finish_here(exp, &SupervisorConfig::default(), jobs, |done| {
         pool.report.jobs_degraded += 1;
-        match process_job(pool.exp, &sup, &job, &mut rig, &slot) {
-            Ok(done) => {
-                pool.accept(st, journal, done.index, done.record, done.metrics);
-            }
-            Err(()) => {
-                let mut m = Metrics::default();
-                m.runs += 1;
-                m.record_outcome(trace_outcome::RIG_FAULT);
-                let record = rig_fault_record(&job, "rig could not be built on any worker");
-                pool.accept(st, journal, index, record, m);
-            }
-        }
-    }
+        pool.accept(st, done);
+    });
 }
 
 /// Runs all three campaigns across a pool of worker subprocesses.
@@ -953,30 +823,15 @@ fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState, journal: &mut
 ///
 /// Journal open/read failures (bad header, seed mismatch, I/O).
 pub fn run_study_dist(exp: &Experiment, cfg: &DistConfig) -> Result<DistStudy, String> {
-    let sup_like = SupervisorConfig {
-        journal: cfg.journal.clone(),
-        resume: cfg.resume,
-        ..SupervisorConfig::default()
-    };
-    let (mut journal, resumed) = open_journal(exp, &sup_like)?;
-    let total_jobs: usize =
-        [Campaign::A, Campaign::B, Campaign::C].iter().map(|c| exp.plan(*c).len()).sum();
-    let mut pool = Pool::new(exp, cfg, total_jobs);
-    let mut campaigns = BTreeMap::new();
-    for c in [Campaign::A, Campaign::B, Campaign::C] {
-        let result = run_campaign_dist(&mut pool, c, &mut journal, &resumed);
-        campaigns.insert(c.letter(), result);
-        if let Some(j) = journal.as_mut() {
-            // Checkpoint the campaign boundary.
-            j.sync().map_err(|e| e.to_string())?;
-        }
-    }
+    let plans = exp.study_plan();
+    let mut pool = Pool::new(exp, cfg, &plans);
+    let out = run_journaled(exp.config.seed, cfg.journal.as_deref(), cfg.resume, plans, |l| {
+        run_campaign_dist(&mut pool, l)
+    });
     pool.shutdown();
-    let mut report = pool.report;
-    if let Some(mut j) = journal {
-        j.sync().map_err(|e| e.to_string())?;
-        report.journal_flushes = j.flushes;
-    }
+    let (results, journal_flushes) = out?;
+    let campaigns = results.into_iter().map(|r| (r.campaign.letter(), r)).collect();
+    let report = DistReport { journal_flushes, ..pool.report };
     Ok(DistStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
 }
 
@@ -1009,17 +864,18 @@ pub fn run_worker<R: Read, W: Write + Send>(
         let mut w = writer.lock().expect("writer lock");
         w.write_all(&framed).and_then(|()| w.flush()).map_err(|e| e.to_string())
     };
+    let plans = exp.study_plan();
     send(&Msg::Hello {
         protocol: PROTOCOL_VERSION,
-        fingerprint: plan_fingerprint(exp),
+        fingerprint: fingerprint(exp.config.seed, &plans),
         seed: exp.config.seed,
     })?;
 
+    let sup = SupervisorConfig { wall_budget: cfg.wall_budget, ..SupervisorConfig::default() };
     let jobs_done = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let stalled = AtomicBool::new(false);
     let slot = WatchSlot::new();
-    let mut plans: BTreeMap<char, Vec<(InjectionTarget, u32)>> = BTreeMap::new();
     let mut rig: Option<InjectorRig> = None;
 
     let mut out: Result<(), String> = Ok(());
@@ -1035,27 +891,13 @@ pub fn run_worker<R: Read, W: Write + Send>(
                         break;
                     }
                 }
-                std::thread::sleep(cfg.heartbeat_interval);
+                std::thread::sleep(HEARTBEAT_INTERVAL);
             }
         });
         // Wall-clock watchdog, as in the in-process supervisor.
-        if cfg.supervisor.wall_budget.is_some() {
-            let budget = cfg.supervisor.wall_budget.expect("checked");
-            let slot = &slot;
-            let stop = &stop;
-            s.spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    {
-                        let started = slot.started.lock().expect("watch slot");
-                        if let Some(t0) = *started {
-                            if t0.elapsed() >= budget {
-                                slot.abort.store(true, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
+        if let Some(budget) = cfg.wall_budget {
+            let (slot, stop) = (&slot, &stop);
+            s.spawn(move || watchdog(std::slice::from_ref(slot), budget, stop));
         }
 
         let mut dec = StreamDecoder::new();
@@ -1069,20 +911,15 @@ pub fn run_worker<R: Read, W: Write + Send>(
                         if send(&Msg::LeaseAck { lease }).is_err() {
                             break 'io;
                         }
-                        let plan = plans.entry(campaign.letter()).or_insert_with(|| {
-                            exp.plan(campaign)
-                                .into_iter()
-                                .map(|t| {
-                                    let mode = exp.mode_for(&t);
-                                    (t, mode)
-                                })
-                                .collect()
-                        });
+                        let plan = plans.iter().find(|(c, _)| *c == campaign).map(|(_, p)| p);
                         for raw in indices {
                             let index = raw as usize;
-                            let Some((target, mode)) = plan.get(index).cloned() else { continue };
+                            let Some((target, mode)) = plan.and_then(|p| p.get(index)).cloned()
+                            else {
+                                continue;
+                            };
                             let job = Job { index, target, mode };
-                            match process_job(exp, &cfg.supervisor, &job, &mut rig, &slot) {
+                            match process_job(exp, &sup, &job, &mut rig, &slot) {
                                 Ok(done) => {
                                     jobs_done.fetch_add(1, Ordering::SeqCst);
                                     let msg = Msg::JobDone {
@@ -1178,13 +1015,5 @@ mod tests {
             }
         }
         assert_ne!(ChaosPlan::new(1, 120), ChaosPlan::new(2, 120), "seed varies the schedule");
-    }
-
-    #[test]
-    fn fnv_chaining_mixes() {
-        let a = fnv1a(0xcbf2_9ce4_8422_2325, b"abc");
-        let b = fnv1a(0xcbf2_9ce4_8422_2325, b"abd");
-        assert_ne!(a, b);
-        assert_eq!(a, fnv1a(fnv1a(0xcbf2_9ce4_8422_2325, b"ab"), b"c"));
     }
 }

@@ -2,6 +2,7 @@
 //! selection → parallel campaign execution.
 
 use crate::stats;
+use crate::supervisor::Plan;
 use kfi_injector::{
     plan_function, Campaign, InjectionTarget, InjectorRig, RigConfig, RigShared, RunRecord,
     SeverityMemoStats,
@@ -211,6 +212,24 @@ impl Experiment {
     /// activates the target's function the most in the profile.
     pub fn mode_for(&self, target: &InjectionTarget) -> u32 {
         self.profile.best_workload_for(&target.function).unwrap_or(0)
+    }
+
+    /// A campaign's jobs: every planned target with the workload it
+    /// runs under, in plan-index order — the one place a plan meets
+    /// [`Experiment::mode_for`].
+    pub(crate) fn campaign_plan(&self, campaign: Campaign) -> Plan {
+        self.plan(campaign)
+            .into_iter()
+            .map(|t| {
+                let mode = self.mode_for(&t);
+                (t, mode)
+            })
+            .collect()
+    }
+
+    /// The whole study's jobs, campaign by campaign (A, B, C).
+    pub(crate) fn study_plan(&self) -> Vec<(Campaign, Plan)> {
+        [Campaign::A, Campaign::B, Campaign::C].map(|c| (c, self.campaign_plan(c))).into()
     }
 
     /// Builds an injection rig (one per worker thread).

@@ -25,6 +25,7 @@ use crate::supervisor::{run_plan_supervised, SupervisorConfig, SupervisorReport}
 use kfi_injector::{plan_function, Campaign, InjectionTarget, RigConfig};
 use kfi_kernel::KernelBuildOptions;
 use kfi_profiler::ProfilerConfig;
+use kfi_trace::{fnv1a, FNV1A_BASIS};
 use kfi_workloads::Suite;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,8 +67,6 @@ pub struct MatrixConfig {
     pub threads: usize,
     /// Cap on planned injections per function (None = all).
     pub max_per_function: Option<usize>,
-    /// Cap on total planned injections per cell (None = all).
-    pub max_per_cell: Option<usize>,
     /// Profiler settings for experiment preparation (the matrix forces
     /// modes, so profile quality only affects preparation time).
     pub profiler: ProfilerConfig,
@@ -94,7 +93,6 @@ impl Default for MatrixConfig {
             seed: 2003,
             threads: 1,
             max_per_function: Some(2),
-            max_per_cell: None,
             profiler: ProfilerConfig::default(),
             rig: RigConfig::default(),
             suite: Suite::Traffic,
@@ -124,18 +122,6 @@ pub struct MatrixResult {
     pub seed: u64,
 }
 
-/// FNV-1a over a string — the per-cell seed perturbation. Stable by
-/// construction (no `DefaultHasher`, whose output may change between
-/// Rust releases, in anything feeding a golden surface).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Plans one cell: campaign-A targets over every function tagged with
 /// the cell's subsystem, the workload's run mode forced on every
 /// target.
@@ -148,12 +134,11 @@ pub fn plan_cell(
     cell: &MatrixCell,
     seed: u64,
     max_per_function: Option<usize>,
-    max_per_cell: Option<usize>,
 ) -> Result<Vec<(InjectionTarget, u32)>, String> {
     let mode = exp.config.suite.mode_of(&cell.workload).ok_or_else(|| {
         format!("workload `{}` not in suite {:?}", cell.workload, exp.config.suite)
     })?;
-    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(&cell.key()));
+    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(FNV1A_BASIS, cell.key().as_bytes()));
     let mut out = Vec::new();
     for sym in exp.image.program.symbols.functions() {
         if sym.subsystem.as_deref() != Some(cell.subsystem.as_str()) {
@@ -164,9 +149,6 @@ pub fn plan_cell(
             t.truncate(cap);
         }
         out.extend(t.into_iter().map(|t| (t, mode)));
-    }
-    if let Some(cap) = max_per_cell {
-        out.truncate(cap);
     }
     Ok(out)
 }
@@ -197,8 +179,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<MatrixResult, String> {
                     workload: workload.clone(),
                     subsystem: subsystem.clone(),
                 };
-                let plan =
-                    plan_cell(&exp, &cell, cfg.seed, cfg.max_per_function, cfg.max_per_cell)?;
+                let plan = plan_cell(&exp, &cell, cfg.seed, cfg.max_per_function)?;
                 let sup = SupervisorConfig {
                     journal: cfg.journal_dir.as_ref().map(|d| {
                         d.join(format!(
@@ -256,9 +237,8 @@ mod tests {
             subsystem: "ipc".into(),
         };
         assert_eq!(cell.key(), "server/echo/ipc");
-        // FNV-1a is pinned: a silent change would reshuffle every cell
-        // plan under the golden surface.
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        // The cell seed hash is pinned: a silent change would reshuffle
+        // every cell plan under the golden surface.
+        assert_eq!(fnv1a(FNV1A_BASIS, cell.key().as_bytes()), 0x7a94_fc90_c227_1c1b);
     }
 }

@@ -21,28 +21,41 @@
 //! * **Journal** — completed runs (record + per-run metrics delta) are
 //!   appended to a CRC-framed journal ([`crate::journal`]); `--resume`
 //!   replays the intact prefix and only executes what's missing.
-//!   Frames pass through a reorder buffer so they land in plan-index
-//!   order regardless of which worker finished first: the journal's
-//!   bytes are identical for any worker count.
+//!   Frames are appended in plan-index order regardless of which
+//!   worker finished first: the journal's bytes are identical for any
+//!   worker count.
 //! * **Quarantine** — runs that panic or trip the machine sanitizer are
-//!   retried up to [`SupervisorConfig::max_retries`] times on a fresh
-//!   rig; persistent offenders get a minimal-repro artifact written to
-//!   the quarantine directory and are surfaced in the report.
+//!   retried up to [`MAX_RETRIES`] times on a fresh rig; persistent
+//!   offenders get a minimal-repro artifact written to the quarantine
+//!   directory and are surfaced in the report.
 //! * **Watchdog** — a supervisor thread flags runs exceeding the
 //!   wall-clock budget via the machine's cooperative abort flag,
 //!   degrading simulator-level livelock (which the in-guest cycle
 //!   budget cannot see) into an ordinary hang-classified record.
+//!
+//! **One bookkeeping path.** The supervisor, the campaign matrix
+//! ([`run_plan_supervised`]) and the distributed coordinator
+//! ([`crate::dist`]) differ only in where a job runs. Each keeps its
+//! campaign's books in the same `Ledger`: built from the plan and the
+//! resumed journal entries, it yields the jobs still to run, journals
+//! each finished job in plan-index order, and merges the records into
+//! the [`CampaignResult`]. One function opens the study's journal, syncs
+//! it at every campaign boundary and closes it.
 
 use crate::experiment::{CampaignResult, Experiment, StudyResult};
 use crate::journal::{Journal, JournalEntry};
 use kfi_injector::{Campaign, InjectionTarget, InjectorRig, Outcome, RunRecord};
 use kfi_trace::{outcome as trace_outcome, Metrics};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Retries (each on a fresh rig) granted to a run that panicked or
+/// tripped the sanitizer, beyond its first attempt.
+pub const MAX_RETRIES: usize = 2;
 
 /// Test-only fault injection into the *harness*: makes the listed job
 /// indices panic inside the worker, exercising the containment path.
@@ -69,11 +82,8 @@ impl PanicInjection {
 }
 
 /// Supervisor policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SupervisorConfig {
-    /// Retries (each on a fresh rig) granted to a run that panicked or
-    /// tripped the sanitizer, beyond its first attempt.
-    pub max_retries: usize,
     /// Wall-clock budget per run; `None` disables the watchdog. Runs
     /// exceeding it are aborted via the machine's cooperative abort
     /// flag and classify as [`Outcome::Hang`].
@@ -87,19 +97,6 @@ pub struct SupervisorConfig {
     pub resume: bool,
     /// Harness-fault injection (tests only).
     pub inject_panic: PanicInjection,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            max_retries: 2,
-            wall_budget: None,
-            quarantine_dir: None,
-            journal: None,
-            resume: false,
-            inject_panic: PanicInjection::None,
-        }
-    }
 }
 
 /// One quarantined run, surfaced in the report.
@@ -168,6 +165,10 @@ pub struct SupervisedStudy {
     pub report: SupervisorReport,
 }
 
+/// A campaign's jobs: each planned target with the workload (run mode)
+/// it runs under, in plan-index order.
+pub(crate) type Plan = Vec<(InjectionTarget, u32)>;
+
 /// One planned unit of work.
 #[derive(Clone)]
 pub(crate) struct Job {
@@ -191,6 +192,20 @@ impl WatchSlot {
     }
 }
 
+/// The wall-clock watchdog loop: raises the abort flag of every slot
+/// whose run has exceeded `budget`, once a millisecond, until `stop`.
+pub(crate) fn watchdog(slots: &[WatchSlot], budget: Duration, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
+        for slot in slots {
+            let started = slot.started.lock().expect("watch slot");
+            if started.is_some_and(|t0| t0.elapsed() >= budget) {
+                slot.abort.store(true, Ordering::SeqCst);
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// How one job finished.
 pub(crate) struct JobDone {
     pub(crate) index: usize,
@@ -200,6 +215,24 @@ pub(crate) struct JobDone {
     pub(crate) quarantine: Option<QuarantineReport>,
 }
 
+impl JobDone {
+    /// A run the harness lost: a [`Outcome::RigFault`] record, counted
+    /// as one run on top of the job's supervisor counters `metrics`.
+    pub(crate) fn rig_fault(job: &Job, msg: &str, mut metrics: Metrics) -> JobDone {
+        metrics.runs += 1;
+        metrics.record_outcome(trace_outcome::RIG_FAULT);
+        let record = RunRecord {
+            target: job.target.clone(),
+            mode: job.mode,
+            outcome: Outcome::RigFault(msg.to_string()),
+            activation_tsc: None,
+            run_cycles: 0,
+            sanitizer_violations: 0,
+        };
+        JobDone { index: job.index, record, metrics, quarantine: None }
+    }
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -207,17 +240,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-pub(crate) fn rig_fault_record(job: &Job, msg: &str) -> RunRecord {
-    RunRecord {
-        target: job.target.clone(),
-        mode: job.mode,
-        outcome: Outcome::RigFault(msg.to_string()),
-        activation_tsc: None,
-        run_cycles: 0,
-        sanitizer_violations: 0,
     }
 }
 
@@ -306,7 +328,7 @@ pub(crate) fn process_job(
         match result {
             Ok(record) => {
                 let mut delta = rig.as_mut().expect("rig present").take_metrics();
-                if record.sanitizer_violations > 0 && attempt < cfg.max_retries {
+                if record.sanitizer_violations > 0 && attempt < MAX_RETRIES {
                     // Poisoned run: retry on a fresh rig.
                     sup.run_retries += 1;
                     *rig = None;
@@ -341,102 +363,232 @@ pub(crate) fn process_job(
                 sup.rig_panics += 1;
                 // The rig is poisoned — never reuse it after a panic.
                 *rig = None;
-                if attempt < cfg.max_retries {
+                if attempt < MAX_RETRIES {
                     sup.run_retries += 1;
                     attempt += 1;
                     continue;
                 }
                 // Persistent offender: record the loss and quarantine.
                 sup.quarantined_runs += 1;
-                sup.runs += 1;
-                sup.record_outcome(trace_outcome::RIG_FAULT);
                 let reason = format!("panicked on all {} attempts: {msg}", attempt + 1);
                 let path = cfg.quarantine_dir.as_deref().and_then(|d| {
                     write_quarantine_artifact(d, exp, job, attempt + 1, &reason, None)
                 });
-                let quarantine = Some(QuarantineReport {
+                let mut done = JobDone::rig_fault(job, &msg, sup);
+                done.quarantine = Some(QuarantineReport {
                     campaign: job.target.campaign.letter(),
                     index: job.index,
                     function: job.target.function.clone(),
                     reason,
                     path,
                 });
-                return Ok(JobDone {
-                    index: job.index,
-                    record: rig_fault_record(job, &msg),
-                    metrics: sup,
-                    quarantine,
+                return Ok(done);
+            }
+        }
+    }
+}
+
+/// Finishes `jobs` on the calling thread with one private rig: the last
+/// rung of the always-completes ladder, for the supervisor (every
+/// worker died) and the dist coordinator (the pool collapsed) alike. If
+/// even this thread cannot build a rig, the job becomes a RigFault
+/// record — the dataset stays complete and the failure is visible, not
+/// fatal.
+pub(crate) fn finish_here(
+    exp: &Experiment,
+    cfg: &SupervisorConfig,
+    jobs: impl IntoIterator<Item = Job>,
+    mut sink: impl FnMut(JobDone),
+) {
+    let slot = WatchSlot::new();
+    let mut rig: Option<InjectorRig> = None;
+    for job in jobs {
+        let done = process_job(exp, cfg, &job, &mut rig, &slot).unwrap_or_else(|()| {
+            JobDone::rig_fault(&job, "rig could not be built on any worker", Metrics::default())
+        });
+        sink(done);
+    }
+}
+
+/// One campaign's books, shared by every runner. Built from the plan
+/// and the campaign's resumed journal entries, it knows which jobs are
+/// still to run; [`Ledger::record`] files each finished job and appends
+/// it to the journal in plan-index order, not completion order, so the
+/// journal's bytes are identical for any worker count and arrival
+/// order; [`Ledger::finish`] merges everything into the campaign
+/// result.
+pub(crate) struct Ledger<'j> {
+    campaign: Campaign,
+    plan: Plan,
+    /// Each plan index's final outcome, once replayed or recorded.
+    done: Vec<Option<JobDone>>,
+    /// Plan indices replayed from the journal: already on disk.
+    replayed: Vec<bool>,
+    /// Plan indices still without an outcome.
+    remaining: usize,
+    journal: Option<&'j mut Journal>,
+    /// Next plan index the journal is waiting for. Outcomes recorded
+    /// ahead of a still-running earlier job wait in `done` until the
+    /// gap closes.
+    next: usize,
+}
+
+impl<'j> Ledger<'j> {
+    fn new(
+        campaign: Campaign,
+        plan: Plan,
+        mut journaled: BTreeMap<usize, JournalEntry>,
+        journal: Option<&'j mut Journal>,
+    ) -> Ledger<'j> {
+        // A journaled entry only counts when it matches the plan exactly
+        // — same target, same mode — so a stale or foreign journal can
+        // never smuggle records into the dataset.
+        let done: Vec<Option<JobDone>> = plan
+            .iter()
+            .enumerate()
+            .map(|(index, (target, mode))| {
+                journaled
+                    .remove(&index)
+                    .filter(|e| e.record.target == *target && e.record.mode == *mode)
+                    .map(|e| JobDone {
+                        index,
+                        record: e.record,
+                        metrics: e.metrics,
+                        quarantine: None,
+                    })
+            })
+            .collect();
+        let replayed: Vec<bool> = done.iter().map(Option::is_some).collect();
+        let remaining = replayed.iter().filter(|r| !**r).count();
+        Ledger { campaign, plan, done, replayed, remaining, journal, next: 0 }
+    }
+
+    pub(crate) fn campaign(&self) -> Campaign {
+        self.campaign
+    }
+
+    pub(crate) fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// Runs replayed from the journal instead of executed.
+    pub(crate) fn resumed_runs(&self) -> usize {
+        self.replayed.iter().filter(|r| **r).count()
+    }
+
+    /// Plan indices still without an outcome.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Whether plan index `index` already has its outcome.
+    pub(crate) fn is_done(&self, index: usize) -> bool {
+        self.done[index].is_some()
+    }
+
+    /// The plan indices still to run, in plan order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = usize> + '_ {
+        self.done.iter().enumerate().filter(|(_, d)| d.is_none()).map(|(i, _)| i)
+    }
+
+    /// The job at plan index `index`.
+    pub(crate) fn job(&self, index: usize) -> Job {
+        let (target, mode) = self.plan[index].clone();
+        Job { index, target, mode }
+    }
+
+    /// Files a finished job and appends every outcome now contiguous
+    /// with the journal's tail. The caller records each index once.
+    pub(crate) fn record(&mut self, done: JobDone) {
+        let index = done.index;
+        assert!(self.done[index].is_none(), "plan index {index} recorded twice");
+        self.done[index] = Some(done);
+        self.remaining -= 1;
+        let Some(j) = self.journal.as_deref_mut() else { return };
+        while let Some(Some(d)) = self.done.get(self.next) {
+            if !self.replayed[self.next] {
+                // Journal I/O failure must not kill the campaign: the
+                // run is already in memory; only resumability degrades.
+                let _ = j.append(&JournalEntry {
+                    campaign: self.campaign.letter(),
+                    index: d.index,
+                    record: d.record.clone(),
+                    metrics: d.metrics.clone(),
                 });
             }
+            self.next += 1;
         }
     }
-}
 
-/// Reorder buffer in front of the journal: frames are appended in
-/// plan-index order, not worker-completion order, so the journal's
-/// bytes are identical for any worker count (and diffable between
-/// runs). Entries completed ahead of a still-running earlier job are
-/// held here until the gap closes; the window is usually the worker
-/// count, though one long run can briefly hold back many completions.
-pub(crate) struct JournalOrder {
-    /// Next plan index the journal is waiting for.
-    next: usize,
-    /// Completed-but-early entries, keyed by plan index.
-    pub(crate) held: BTreeMap<usize, JournalEntry>,
-    /// Plan indices already journaled by a previous (resumed) session;
-    /// `next` skips over these.
-    skip: BTreeSet<usize>,
-}
-
-impl JournalOrder {
-    pub(crate) fn new(skip: BTreeSet<usize>) -> JournalOrder {
-        JournalOrder { next: 0, held: BTreeMap::new(), skip }
+    /// The campaign result — records and merged metrics in plan order —
+    /// and its quarantined runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan index has no outcome: every runner finishes
+    /// its whole plan.
+    pub(crate) fn finish(self) -> (CampaignResult, Vec<QuarantineReport>) {
+        let functions_injected = {
+            let mut fs: Vec<&str> = self.plan.iter().map(|(t, _)| t.function.as_str()).collect();
+            fs.sort_unstable();
+            fs.dedup();
+            fs.len()
+        };
+        let mut metrics = Metrics::default();
+        let mut records = Vec::with_capacity(self.done.len());
+        let mut quarantined = Vec::new();
+        for d in self.done {
+            let d = d.expect("every planned job has an outcome");
+            metrics.merge(&d.metrics);
+            records.push(d.record);
+            quarantined.extend(d.quarantine);
+        }
+        let result =
+            CampaignResult { campaign: self.campaign, records, functions_injected, metrics };
+        (result, quarantined)
     }
+}
 
-    /// Appends every entry that is now contiguous with the journal tail.
-    pub(crate) fn drain(&mut self, j: &mut Journal) {
-        loop {
-            if self.skip.remove(&self.next) {
-                self.next += 1;
-                continue;
+/// Runs every campaign's plan through `run` against one journal: opened
+/// once (resumed, or created afresh), handed to each campaign's
+/// [`Ledger`] with that campaign's resumed entries, synced at every
+/// campaign boundary. Returns each campaign's output in order and the
+/// journal's fsync batches (0 without a journal).
+///
+/// # Errors
+///
+/// Journal open/read/sync failures (bad header, seed mismatch, I/O).
+pub(crate) fn run_journaled<T>(
+    seed: u64,
+    path: Option<&Path>,
+    resume: bool,
+    plans: Vec<(Campaign, Plan)>,
+    mut run: impl FnMut(Ledger<'_>) -> T,
+) -> Result<(Vec<T>, u64), String> {
+    let mut resumed: BTreeMap<char, BTreeMap<usize, JournalEntry>> = BTreeMap::new();
+    let mut journal = match path {
+        None => None,
+        Some(p) if resume && p.exists() => {
+            // `resume` truncates any torn tail before reopening for
+            // append, so re-run frames stay reachable by the next resume.
+            let (entries, j) = crate::journal::resume(p, seed).map_err(|e| e.to_string())?;
+            for e in entries {
+                resumed.entry(e.campaign).or_default().insert(e.index, e);
             }
-            match self.held.remove(&self.next) {
-                Some(e) => {
-                    // Journal I/O failure must not kill the campaign:
-                    // the run is already in memory; only resumability
-                    // degrades.
-                    let _ = j.append(&e);
-                    self.next += 1;
-                }
-                None => break,
-            }
+            Some(j)
+        }
+        Some(p) => Some(Journal::create(p, seed).map_err(|e| e.to_string())?),
+    };
+    let mut outs = Vec::with_capacity(plans.len());
+    for (campaign, plan) in plans {
+        let journaled = resumed.remove(&campaign.letter()).unwrap_or_default();
+        outs.push(run(Ledger::new(campaign, plan, journaled, journal.as_mut())));
+        if let Some(j) = journal.as_mut() {
+            // Checkpoint the campaign boundary.
+            j.sync().map_err(|e| e.to_string())?;
         }
     }
-}
-
-/// Shared mutable campaign state.
-struct Shared<'a> {
-    queue: Mutex<std::collections::VecDeque<Job>>,
-    done: Mutex<Vec<JobDone>>,
-    journal: Option<&'a Mutex<Journal>>,
-    order: Mutex<JournalOrder>,
-}
-
-impl Shared<'_> {
-    fn finish(&self, done: JobDone) {
-        if let Some(j) = self.journal {
-            let entry = JournalEntry {
-                campaign: done.record.target.campaign.letter(),
-                index: done.index,
-                record: done.record.clone(),
-                metrics: done.metrics.clone(),
-            };
-            let mut order = self.order.lock().expect("journal order lock");
-            order.held.insert(done.index, entry);
-            order.drain(&mut j.lock().expect("journal lock"));
-        }
-        self.done.lock().expect("done lock").push(done);
-    }
+    Ok((outs, journal.map_or(0, |j| j.flushes)))
 }
 
 /// One worker: drains the queue one job at a time until empty or its
@@ -444,24 +596,61 @@ impl Shared<'_> {
 fn worker_loop(
     exp: &Experiment,
     cfg: &SupervisorConfig,
-    shared: &Shared<'_>,
+    queue: &Mutex<VecDeque<Job>>,
+    ledger: &Mutex<Ledger<'_>>,
     slot: &WatchSlot,
 ) -> bool {
     let mut rig: Option<InjectorRig> = None;
     loop {
-        let job = match shared.queue.lock().expect("queue lock").pop_front() {
-            Some(j) => j,
-            None => return true,
-        };
+        let Some(job) = queue.lock().expect("queue lock").pop_front() else { return true };
         match process_job(exp, cfg, &job, &mut rig, slot) {
-            Ok(done) => shared.finish(done),
+            Ok(done) => ledger.lock().expect("ledger lock").record(done),
             Err(()) => {
                 // Rig unbuildable: give the job back and die.
-                shared.queue.lock().expect("queue lock").push_front(job);
+                queue.lock().expect("queue lock").push_front(job);
                 return false;
             }
         }
     }
+}
+
+/// Runs one campaign's pending jobs on `exp.config.threads`
+/// panic-isolated workers (plus the watchdog), then finishes any job
+/// every worker gave up on on this thread.
+fn supervise(exp: &Experiment, cfg: &SupervisorConfig, ledger: Ledger<'_>) -> SupervisedCampaign {
+    let resumed_runs = ledger.resumed_runs();
+    let queue: Mutex<VecDeque<Job>> = Mutex::new(ledger.pending().map(|i| ledger.job(i)).collect());
+    let ledger = Mutex::new(ledger);
+    let slots: Vec<WatchSlot> = (0..exp.config.threads.max(1)).map(|_| WatchSlot::new()).collect();
+    let stop = AtomicBool::new(false);
+    let mut workers_lost = 0usize;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = slots
+            .iter()
+            .map(|slot| s.spawn(|| worker_loop(exp, cfg, &queue, &ledger, slot)))
+            .collect();
+        if let Some(budget) = cfg.wall_budget {
+            let (slots, stop) = (&slots, &stop);
+            s.spawn(move || watchdog(slots, budget, stop));
+        }
+        for h in handles {
+            // Worker bodies catch their own panics; a panic escaping
+            // here would be a supervisor bug, not a run failure.
+            if !h.join().expect("supervisor worker") {
+                workers_lost += 1;
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+
+    let mut ledger = ledger.into_inner().expect("ledger lock");
+    let leftovers = queue.into_inner().expect("queue lock");
+    finish_here(exp, cfg, leftovers, |done| ledger.record(done));
+    let (result, quarantined) = ledger.finish();
+    let mut report =
+        SupervisorReport { resumed_runs, workers_lost, quarantined, ..SupervisorReport::default() };
+    report.absorb_campaign(&result.metrics);
+    SupervisedCampaign { result, report }
 }
 
 /// Runs one campaign under supervision.
@@ -478,20 +667,7 @@ pub fn run_campaign_supervised(
     campaign: Campaign,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedCampaign, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
-    let out = run_campaign_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed);
-    let flushes = match journal_mutex {
-        Some(m) => {
-            let mut j = m.into_inner().expect("journal lock");
-            j.sync().map_err(|e| e.to_string())?;
-            j.flushes
-        }
-        None => 0,
-    };
-    let mut out = out;
-    out.report.journal_flushes = flushes;
-    Ok(out)
+    run_plan_supervised(exp, campaign, exp.campaign_plan(campaign), cfg)
 }
 
 /// Runs all three campaigns under supervision, sharing one journal.
@@ -503,26 +679,21 @@ pub fn run_study_supervised(
     exp: &Experiment,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedStudy, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
+    let (outs, journal_flushes) = run_journaled(
+        exp.config.seed,
+        cfg.journal.as_deref(),
+        cfg.resume,
+        exp.study_plan(),
+        |l| supervise(exp, cfg, l),
+    )?;
     let mut campaigns = BTreeMap::new();
-    let mut report = SupervisorReport::default();
-    for c in [Campaign::A, Campaign::B, Campaign::C] {
-        let out = run_campaign_inner(exp, c, cfg, journal_mutex.as_ref(), &resumed);
+    let mut report = SupervisorReport { journal_flushes, ..SupervisorReport::default() };
+    for out in outs {
         report.resumed_runs += out.report.resumed_runs;
         report.workers_lost += out.report.workers_lost;
         report.quarantined.extend(out.report.quarantined);
         report.absorb_campaign(&out.result.metrics);
-        campaigns.insert(c.letter(), out.result);
-        if let Some(m) = journal_mutex.as_ref() {
-            // Checkpoint the campaign boundary.
-            m.lock().expect("journal lock").sync().map_err(|e| e.to_string())?;
-        }
-    }
-    if let Some(m) = journal_mutex {
-        let mut j = m.into_inner().expect("journal lock");
-        j.sync().map_err(|e| e.to_string())?;
-        report.journal_flushes = j.flushes;
+        campaigns.insert(out.result.campaign.letter(), out.result);
     }
     Ok(SupervisedStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
 }
@@ -531,10 +702,9 @@ pub fn run_study_supervised(
 /// campaign-matrix entry point. The plan is taken as given (no
 /// profile-driven target selection or mode choice), but everything
 /// else is the supervised campaign machinery: panic-isolated workers,
-/// the plan-index reorder buffer in front of the journal, watchdog,
-/// quarantine, and resume against [`SupervisorConfig::journal`] (a
-/// journaled entry only replays when it matches the plan's target and
-/// mode exactly).
+/// plan-index-ordered journaling, watchdog, quarantine, and resume
+/// against [`SupervisorConfig::journal`] (a journaled entry only
+/// replays when it matches the plan's target and mode exactly).
 ///
 /// # Errors
 ///
@@ -545,188 +715,14 @@ pub fn run_plan_supervised(
     plan: Vec<(InjectionTarget, u32)>,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedCampaign, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
-    let mut out = run_plan_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed, plan);
-    if let Some(m) = journal_mutex {
-        let mut j = m.into_inner().expect("journal lock");
-        j.sync().map_err(|e| e.to_string())?;
-        out.report.journal_flushes = j.flushes;
-    }
+    let (outs, journal_flushes) = run_journaled(
+        exp.config.seed,
+        cfg.journal.as_deref(),
+        cfg.resume,
+        vec![(campaign, plan)],
+        |l| supervise(exp, cfg, l),
+    )?;
+    let mut out = outs.into_iter().next().expect("one campaign planned");
+    out.report.journal_flushes = journal_flushes;
     Ok(out)
-}
-
-/// Opens/creates the journal per config and reads any resumable
-/// entries, grouped by campaign letter.
-pub(crate) fn open_journal(
-    exp: &Experiment,
-    cfg: &SupervisorConfig,
-) -> Result<(Option<Journal>, BTreeMap<char, BTreeMap<usize, JournalEntry>>), String> {
-    let Some(path) = &cfg.journal else {
-        return Ok((None, BTreeMap::new()));
-    };
-    let seed = exp.config.seed;
-    if cfg.resume && path.exists() {
-        // `resume` truncates any torn tail before reopening for append,
-        // so re-run frames stay reachable by the next resume.
-        let (entries, journal) = crate::journal::resume(path, seed).map_err(|e| e.to_string())?;
-        let mut by_campaign: BTreeMap<char, BTreeMap<usize, JournalEntry>> = BTreeMap::new();
-        for e in entries {
-            by_campaign.entry(e.campaign).or_default().insert(e.index, e);
-        }
-        Ok((Some(journal), by_campaign))
-    } else {
-        let journal = Journal::create(path, seed).map_err(|e| e.to_string())?;
-        Ok((Some(journal), BTreeMap::new()))
-    }
-}
-
-fn run_campaign_inner(
-    exp: &Experiment,
-    campaign: Campaign,
-    cfg: &SupervisorConfig,
-    journal: Option<&Mutex<Journal>>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-) -> SupervisedCampaign {
-    let plan: Vec<(InjectionTarget, u32)> = exp
-        .plan(campaign)
-        .into_iter()
-        .map(|t| {
-            let mode = exp.mode_for(&t);
-            (t, mode)
-        })
-        .collect();
-    run_plan_inner(exp, campaign, cfg, journal, resumed, plan)
-}
-
-fn run_plan_inner(
-    exp: &Experiment,
-    campaign: Campaign,
-    cfg: &SupervisorConfig,
-    journal: Option<&Mutex<Journal>>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-    plan: Vec<(InjectionTarget, u32)>,
-) -> SupervisedCampaign {
-    let functions_injected = {
-        let mut fs: Vec<&str> = plan.iter().map(|(t, _)| t.function.as_str()).collect();
-        fs.sort_unstable();
-        fs.dedup();
-        fs.len()
-    };
-
-    // Split the plan into journaled (skip) and still-to-run jobs. A
-    // journaled entry only counts when it matches the plan exactly —
-    // same target, same mode — so a stale or foreign journal can never
-    // smuggle records into the dataset.
-    let empty = BTreeMap::new();
-    let journaled = resumed.get(&campaign.letter()).unwrap_or(&empty);
-    let mut replayed: Vec<JobDone> = Vec::new();
-    let mut jobs: std::collections::VecDeque<Job> = std::collections::VecDeque::new();
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
-    for (index, (target, mode)) in plan.into_iter().enumerate() {
-        match journaled.get(&index) {
-            Some(e) if e.record.target == target && e.record.mode == mode => {
-                skip.insert(index);
-                replayed.push(JobDone {
-                    index,
-                    record: e.record.clone(),
-                    metrics: e.metrics.clone(),
-                    quarantine: None,
-                });
-            }
-            _ => jobs.push_back(Job { index, target, mode }),
-        }
-    }
-    let resumed_runs = replayed.len();
-
-    let shared = Shared {
-        queue: Mutex::new(jobs),
-        done: Mutex::new(replayed),
-        journal,
-        order: Mutex::new(JournalOrder::new(skip)),
-    };
-    let threads = exp.config.threads.max(1);
-    let slots: Vec<WatchSlot> = (0..threads).map(|_| WatchSlot::new()).collect();
-    let watchdog_stop = AtomicBool::new(false);
-    let mut workers_lost = 0usize;
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            slots.iter().map(|slot| s.spawn(|| worker_loop(exp, cfg, &shared, slot))).collect();
-        let slots = &slots;
-        let watchdog_stop = &watchdog_stop;
-        let watchdog = cfg.wall_budget.map(|budget| {
-            s.spawn(move || {
-                while !watchdog_stop.load(Ordering::SeqCst) {
-                    for slot in slots {
-                        let started = slot.started.lock().expect("watch slot");
-                        if let Some(t0) = *started {
-                            if t0.elapsed() >= budget {
-                                slot.abort.store(true, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        });
-        for h in handles {
-            // Worker bodies catch their own panics; a panic escaping
-            // here would be a supervisor bug, not a run failure.
-            if !h.join().expect("supervisor worker") {
-                workers_lost += 1;
-            }
-        }
-        watchdog_stop.store(true, Ordering::SeqCst);
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-    });
-
-    // Every worker died with jobs still queued: finish on this thread
-    // so the campaign always completes. If even this thread cannot
-    // build a rig, the leftovers become RigFault records — the dataset
-    // stays complete and the failure is visible, not fatal.
-    let fallback_slot = WatchSlot::new();
-    let mut fallback_rig: Option<InjectorRig> = None;
-    loop {
-        let job = match shared.queue.lock().expect("queue lock").pop_front() {
-            Some(j) => j,
-            None => break,
-        };
-        match process_job(exp, cfg, &job, &mut fallback_rig, &fallback_slot) {
-            Ok(done) => shared.finish(done),
-            Err(()) => {
-                let mut sup = Metrics::default();
-                sup.runs += 1;
-                sup.record_outcome(trace_outcome::RIG_FAULT);
-                shared.finish(JobDone {
-                    index: job.index,
-                    record: rig_fault_record(&job, "rig could not be built on any worker"),
-                    metrics: sup,
-                    quarantine: None,
-                });
-            }
-        }
-    }
-
-    let mut done = shared.done.into_inner().expect("done lock");
-    done.sort_by_key(|d| d.index);
-    let mut metrics = Metrics::default();
-    let mut records = Vec::with_capacity(done.len());
-    let mut quarantined = Vec::new();
-    for d in done {
-        metrics.merge(&d.metrics);
-        records.push(d.record);
-        if let Some(q) = d.quarantine {
-            quarantined.push(q);
-        }
-    }
-    let mut report =
-        SupervisorReport { resumed_runs, workers_lost, quarantined, ..SupervisorReport::default() };
-    report.absorb_campaign(&metrics);
-    SupervisedCampaign {
-        result: CampaignResult { campaign, records, functions_injected, metrics },
-        report,
-    }
 }

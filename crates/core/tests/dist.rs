@@ -96,3 +96,43 @@ fn degraded_dist_run_journals_identically_to_supervised() {
     let _ = std::fs::remove_file(&jsup);
     let _ = std::fs::remove_file(&jdist);
 }
+
+#[test]
+fn dist_resume_of_a_truncated_journal_matches_the_uninterrupted_run() {
+    let exp = experiment(11, 2, 1);
+    let dir = std::env::temp_dir().join("kfi-core-dist-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let jfull = dir.join(format!("full-{}", std::process::id()));
+    let jcut = dir.join(format!("cut-{}", std::process::id()));
+    let _ = std::fs::remove_file(&jfull);
+
+    let sup_cfg = SupervisorConfig { journal: Some(jfull.clone()), ..SupervisorConfig::default() };
+    let reference = kfi_core::run_study_supervised(&exp, &sup_cfg).expect("supervised runs").study;
+    let full = std::fs::read(&jfull).unwrap();
+
+    // Keep the header frame and a prefix of whole run frames that ends
+    // mid-study, as a SIGKILL between two fsync batches leaves it.
+    let body = &full[kfi_core::journal::MAGIC.len()..];
+    let (frames, _) = kfi_trace::frame::read_frames(body);
+    let runs = frames.len() - 1;
+    let kept = runs / 2;
+    assert!(kept > 0 && kept < runs, "the cut must fall inside the study");
+    let cut_len: usize = kfi_core::journal::MAGIC.len()
+        + frames[..=kept].iter().map(|payload| 8 + payload.len()).sum::<usize>();
+    std::fs::write(&jcut, &full[..cut_len]).unwrap();
+
+    // Every spawn fails, so the resume runs the degraded in-process path.
+    let mut cfg = DistConfig::new(2, PathBuf::from("/nonexistent/kfi-no-such-worker"), vec![]);
+    cfg.journal = Some(jcut.clone());
+    cfg.resume = true;
+    let dist = run_study_dist(&exp, &cfg).expect("dist resume completes");
+
+    assert_eq!(dist.report.resumed_runs, kept, "every kept frame replays");
+    assert_eq!(dist.report.jobs_degraded as usize, runs - kept, "only the rest re-runs");
+    for (letter, result) in &dist.study.campaigns {
+        assert_eq!(result.records, reference.campaigns[letter].records, "campaign {letter}");
+    }
+    assert_eq!(std::fs::read(&jcut).unwrap(), full, "resumed journal differs from the full one");
+    let _ = std::fs::remove_file(&jfull);
+    let _ = std::fs::remove_file(&jcut);
+}

@@ -15,6 +15,7 @@
 use kfi_injector::{plan_campaign, Campaign, InjectorRig, RigConfig, RigShared};
 use kfi_kernel::{build_kernel, KernelBuildOptions};
 use kfi_machine::Machine;
+use kfi_trace::{fnv1a, FNV1A_BASIS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,16 +74,6 @@ fn fresh_rig() -> &'static Mutex<InjectorRig> {
     })
 }
 
-/// 64-bit FNV-1a, for the memory digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Everything architecturally observable about a post-run machine.
 #[derive(Debug, PartialEq)]
 struct PostRunState {
@@ -117,8 +108,8 @@ fn capture(m: &mut Machine) -> PostRunState {
         tsc: m.cpu.tsc,
         halted: m.cpu.halted,
         console: m.console().to_vec(),
-        mem_digest: fnv1a(m.mem.slice(0, m.mem.size())),
-        disk_digest: fnv1a(disk.bytes()),
+        mem_digest: fnv1a(FNV1A_BASIS, m.mem.slice(0, m.mem.size())),
+        disk_digest: fnv1a(FNV1A_BASIS, disk.bytes()),
         disk_io: disk.io_stats(),
     }
 }

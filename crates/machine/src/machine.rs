@@ -486,13 +486,8 @@ impl Machine {
     /// parked-CPU divergence can't hide between quantum boundaries.
     pub fn smp_digest(&self) -> u64 {
         let Some(smp) = &self.smp else { return 0 };
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let put = |h: &mut u64, v: u64| {
-            for b in v.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = kfi_trace::FNV1A_BASIS;
+        let put = |h: &mut u64, v: u64| *h = kfi_trace::fnv1a(*h, &v.to_le_bytes());
         put(&mut h, smp.active as u64);
         put(&mut h, u64::from(smp.slice_left));
         put(&mut h, smp.rng);

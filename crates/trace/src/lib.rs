@@ -42,6 +42,22 @@ pub use latency::LatencyHist;
 pub use metrics::{CycleHist, Metrics};
 pub use ring::EventRing;
 
+/// The FNV-1a 64-bit offset basis: the hash of the empty input, and the
+/// state every [`fnv1a`] chain starts from.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a, chained: feeds `bytes` into `state`. Start from
+/// [`FNV1A_BASIS`]; feeding `a` then `b` hashes their concatenation.
+/// Stable by construction, unlike `DefaultHasher`, so it may feed
+/// golden surfaces (matrix cell seeds, plan fingerprints, digests).
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x100_0000_01b3);
+    }
+    state
+}
+
 /// Where trace events go. [`TraceSink::Null`] is the default and makes
 /// every [`emit`](TraceSink::emit) a no-op behind one predictable
 /// branch; [`TraceSink::Ring`] records into a bounded [`EventRing`].
@@ -100,6 +116,16 @@ mod tests {
         s.emit(1, EventKind::WatchdogTick { eip: 0 });
         assert!(s.events().is_empty());
         assert!(!s.is_enabled());
+    }
+
+    #[test]
+    fn fnv_known_answers() {
+        // Reference vectors of 64-bit FNV-1a; a wrong prime fails all
+        // but the empty input.
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"), fnv1a(FNV1A_BASIS, b"foobar"));
     }
 
     #[test]
