@@ -1,6 +1,8 @@
 //! Emits `BENCH_machine.json`: the machine-core performance baseline
 //! (exec-loop MIPS at each execution tier — interpreter, decode cache,
-//! chained blocks; paged-guest kernel-replay MIPS single-stepping
+//! chained blocks; the same loop on both CPUs of a `cpus = 2` machine,
+//! single-stepped through the decode cache vs slice-bounded blocks;
+//! paged-guest kernel-replay MIPS single-stepping
 //! through the decode cache vs chained blocks; per-run snapshot
 //! restore cost full vs dirty-tracked; and small-campaign wall clock at
 //! 1 and 4 worker threads, both recompute-per-rig and with golden
@@ -20,9 +22,24 @@ use std::time::Instant;
 
 /// The bench workload: a register-ALU loop heavy on multi-byte
 /// encodings (imm32 forms, modrm+sib+disp8), so per-fetch decode cost
-/// is a realistic share of the interpreter's work.
-fn alu_loop_machine(iters: u32, tier: ExecTier) -> Machine {
-    let mut m = Machine::new(MachineConfig { timer_enabled: false, tier, ..Default::default() });
+/// is a realistic share of the interpreter's work. With `cpus = 2`,
+/// CPU 0 first wakes CPU 1 at the same loop with a startup IPI, so
+/// both CPUs run it interleaved at the default slice length.
+fn alu_loop_machine(iters: u32, tier: ExecTier, cpus: u32) -> Machine {
+    use kfi_machine::ports::{MON_IPI, MON_IPI_ARG};
+    let mut m =
+        Machine::new(MachineConfig { timer_enabled: false, tier, cpus, ..Default::default() });
+    if cpus > 1 {
+        let mut wake = vec![0xb8]; // mov eax, 0x2000; out MON_IPI_ARG
+        wake.extend_from_slice(&0x2000u32.to_le_bytes());
+        wake.extend_from_slice(&[0xe7, MON_IPI_ARG as u8, 0xb8]); // mov eax, startup CPU 1
+        wake.extend_from_slice(&((1u32 << 16) | (1 << 8)).to_le_bytes());
+        wake.extend_from_slice(&[0xe7, MON_IPI as u8]); // out MON_IPI
+        let rel = 0x2000u32.wrapping_sub(0x1000 + wake.len() as u32 + 5);
+        wake.push(0xe9); // jmp 0x2000
+        wake.extend_from_slice(&rel.to_le_bytes());
+        m.mem.load(0x1000, &wake);
+    }
     let mut code = vec![0xb9]; // mov ecx, iters
     code.extend_from_slice(&iters.to_le_bytes());
     code.extend_from_slice(&[
@@ -36,20 +53,21 @@ fn alu_loop_machine(iters: u32, tier: ExecTier) -> Machine {
         0x75, 0xe7, // jnz loop
         0xfa, 0xf4, // cli; hlt
     ]);
-    m.mem.load(0x1000, &code);
+    m.mem.load(if cpus > 1 { 0x2000 } else { 0x1000 }, &code);
     m.cpu.eip = 0x1000;
     m.cpu.set_reg(4, 0x8000);
     m
 }
 
-/// Interprets the ALU loop and returns (MIPS, instructions retired).
-/// Best of `passes` — the loop is deterministic, so the fastest pass
-/// is the one least disturbed by the host scheduler.
-fn measure_mips(iters: u32, passes: u32, tier: ExecTier) -> (f64, u64) {
+/// Interprets the ALU loop on a `cpus`-CPU machine and returns (MIPS,
+/// instructions retired). Best of `passes` — the loop is
+/// deterministic, so the fastest pass is the one least disturbed by
+/// the host scheduler.
+fn measure_mips(iters: u32, passes: u32, tier: ExecTier, cpus: u32) -> (f64, u64) {
     let mut best = f64::MAX;
     let mut insns = 0;
     for _ in 0..passes {
-        let mut m = alu_loop_machine(iters, tier);
+        let mut m = alu_loop_machine(iters, tier, cpus);
         let t = Instant::now();
         assert_eq!(m.run(u64::MAX / 2), RunExit::Halted);
         let dt = t.elapsed().as_secs_f64();
@@ -191,12 +209,21 @@ fn main() {
         if check { (20_000, 3, 8, 1) } else { (500_000, 5, 64, 4) };
 
     eprintln!("[bench_machine] exec loop ({loop_iters} iterations)...");
-    let (mips_interp, insns) = measure_mips(loop_iters, passes, ExecTier::Interp);
-    let (mips_decoded, insns_decoded) = measure_mips(loop_iters, passes, ExecTier::Decoded);
-    let (mips_blocks, insns_blocks) = measure_mips(loop_iters, passes, ExecTier::Blocks);
+    let (mips_interp, insns) = measure_mips(loop_iters, passes, ExecTier::Interp, 1);
+    let (mips_decoded, insns_decoded) = measure_mips(loop_iters, passes, ExecTier::Decoded, 1);
+    let (mips_blocks, insns_blocks) = measure_mips(loop_iters, passes, ExecTier::Blocks, 1);
     assert_eq!(insns, insns_decoded, "the decode cache must not change the instruction count");
     assert_eq!(insns, insns_blocks, "blocks must not change the instruction count");
     let exec_speedup = mips_blocks / mips_interp;
+
+    eprintln!("[bench_machine] exec loop on both CPUs of a cpus = 2 machine...");
+    let (mips_smp_decoded, insns_smp) = measure_mips(loop_iters, passes, ExecTier::Decoded, 2);
+    let (mips_smp_blocks, insns_smp_blocks) = measure_mips(loop_iters, passes, ExecTier::Blocks, 2);
+    assert_eq!(
+        insns_smp, insns_smp_blocks,
+        "slice-bounded blocks must not change the cpus = 2 instruction count"
+    );
+    assert!(insns_smp > 2 * insns, "both CPUs must run the loop");
 
     let paged_budget: u64 = if check { 2_000_000 } else { 40_000_000 };
     // One paged pass is a single ~35 ms run — far more exposed to
@@ -245,6 +272,13 @@ fn main() {
     let _ = writeln!(json, "    \"speedup_decoded\": {:.2},", mips_decoded / mips_interp);
     let _ = writeln!(json, "    \"speedup_blocks\": {:.2},", mips_blocks / mips_decoded);
     let _ = writeln!(json, "    \"speedup\": {exec_speedup:.2}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"exec_loop_smp\": {{");
+    let _ = writeln!(json, "    \"cpus\": 2,");
+    let _ = writeln!(json, "    \"instructions\": {insns_smp},");
+    let _ = writeln!(json, "    \"mips_decoded\": {mips_smp_decoded:.1},");
+    let _ = writeln!(json, "    \"mips_blocks\": {mips_smp_blocks:.1},");
+    let _ = writeln!(json, "    \"speedup_blocks\": {:.2}", mips_smp_blocks / mips_smp_decoded);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"exec_loop_paged\": {{");
     let _ = writeln!(json, "    \"instructions\": {paged_insns},");

@@ -126,8 +126,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"note\": \"measured speedups, never extrapolated: worker threads beyond host_cpus \
-         share cores, so on a host_cpus={host_cpus} box a flat-or-declining curve is the honest \
-         result; re-measure on a multicore host for a parallel-speedup figure\","
+         share cores, so on a host_cpus={host_cpus} box the curve can only rise up to \
+         {host_cpus} workers and is flat or declining beyond\","
     );
     write_curve(&mut json, "supervised_campaign", 1, 2003, cap, &up_walls);
     write_curve(&mut json, "supervised_campaign_smp", 2, 2003, smp_cap, &smp_walls);

@@ -2,16 +2,17 @@
 //!
 //! For each seed, generates a guest program in three corruption
 //! variants (clean, pre-run bit flips, mid-run bit flip) and runs it
-//! through the eight machine-level differential pairs of
+//! through the nine machine-level differential pairs of
 //! [`MACHINE_PAIRS`] (decode cache on/off, block tier vs single-step,
 //! ring/null trace sink, snapshot-restore/fresh-boot,
 //! shared-snapshot-fork/fresh-boot, on a separately generated two-ring
 //! program crossing `int $0x80`/`iret`/timer gates under paging —
 //! block tier vs bare interpreter, and on a separately generated
 //! two-CPU program exchanging startup and reschedule IPIs — decode
-//! cache on/off at `cpus = 2` plus parked-secondary vs plain
-//! uniprocessor). The architectural-state sanitizer is enabled on
-//! every machine except in the block-engine and ring pairs, which
+//! cache on/off and block tier vs single-step at `cpus = 2`, plus
+//! parked-secondary vs plain uniprocessor). The architectural-state
+//! sanitizer is enabled on every machine except in the block-engine,
+//! smp-blocks and ring pairs, which
 //! force it off so blocks actually run (the sanitizer demotes the
 //! block tier to single-stepping). A smaller sweep of full injection
 //! campaigns compares 1-worker vs 2-worker execution

@@ -5,7 +5,7 @@
 //! table: decode cache on/off, block tier vs single-step, ring/null
 //! trace sink, snapshot-restore vs fresh boot, shared-snapshot fork vs
 //! fresh boot, block tier vs bare interpreter across user/kernel ring
-//! transitions, and two SMP pairs) are stepped together; their
+//! transitions, and three SMP pairs) are stepped together; their
 //! [`StepEvent`]s are compared after every step and the full
 //! architectural state — registers, flags, control
 //! registers, TSC, console, monitor, trap history, counters, and an
@@ -348,8 +348,17 @@ pub fn pair_restore(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 /// lands *inside* chained segments, the case where a stale chain link
 /// or a skipped re-translation would show. The reference side
 /// single-steps at [`ExecTier::Decoded`]; the block side is driven by
-/// [`Machine::run`] to the reference's TSCs, both with the sanitizer
-/// off (it would demote the block tier to single-stepping).
+/// [`Machine::run`] to the reference's machine-wide TSCs, both with the
+/// sanitizer off (it would demote the block tier to single-stepping).
+///
+/// The table runs it twice: on [`generate`] programs (`block-engine`)
+/// and on [`generate_smp`] programs (`smp-blocks`), where the block
+/// side runs slice-bounded segments on a two-CPU machine and
+/// [`Machine::smp_digest`] — slice position, jitter state, in-flight
+/// IPIs, the parked CPU — must come out identical too. The SMP
+/// programs' self-IPIs test that each IPI made deliverable mid-block
+/// (by `out`, `sti` or `popf`) is delivered on the same boundary as
+/// under single-stepping.
 pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     run_vs_step(prog, base, ExecTier::Decoded, StateMask::full())
 }
@@ -375,13 +384,21 @@ pub fn pair_ring(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 
 /// Run-vs-single-step comparison behind [`pair_block_engine`] and
 /// [`pair_ring`]. The reference machine single-steps at `step_tier`
-/// (via [`Machine::step`], which never uses blocks), recording the TSC
-/// at the pre-flip boundary and at termination. The other machine runs
-/// at [`ExecTier::Blocks`] and is driven by [`Machine::run`] against
-/// those recorded TSCs — instruction-boundary TSCs are bit-identical
-/// across tiers (trap delivery costs are charged at boundaries too), so
-/// a cycle deadline stops it exactly where the flip (or the comparison
-/// point) belongs. The end states are compared under `mask`.
+/// (via [`Machine::step`], which never uses blocks), recording
+/// [`Machine::max_tsc`] at the pre-flip boundary and at the comparison
+/// point. The other machine runs at [`ExecTier::Blocks`] and is driven
+/// by [`Machine::run`], which budgets on the same clock, against those
+/// recorded values — instruction-boundary TSCs are bit-identical across
+/// tiers (trap delivery costs are charged at boundaries too), so a
+/// cycle deadline stops it at the first boundary whose `max_tsc`
+/// reaches the recorded value. That is the intended boundary only if
+/// `max_tsc` strictly rose on the step into it: while a lagging CPU
+/// runs on an SMP machine, several boundaries share one `max_tsc`. So
+/// the flip lands on the first such boundary at or after the
+/// program's flip step, and a run that reaches [`MAX_STEPS`] is
+/// compared at the first such boundary from there. (On a uniprocessor
+/// every step raises the TSC, so nothing moves.) The end states are
+/// compared under `mask`.
 ///
 /// Both sides force the sanitizer off: it demotes the block tier to
 /// single-stepping, which would make the pair vacuous.
@@ -397,37 +414,40 @@ fn run_vs_step(
     let mut b = install(prog, MachineConfig { tier: step_tier, ..base });
     let mut flip_tsc = None;
     let mut step = 0u64;
+    // Whether `max_tsc` rose on the step into the current boundary
+    // (boundary 0 has no predecessor to share its clock with).
+    let mut rose = true;
     let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(b.cpu.tsc);
+        if let Some(f) = prog.mid_flip.filter(|f| f.step <= step && rose && flip_tsc.is_none()) {
+            flip_tsc = Some(b.max_tsc());
             apply_mid_flip(&mut b, &f);
         }
+        let before = b.max_tsc();
         let ev = b.step();
         step += 1;
+        rose = b.max_tsc() > before;
         if terminal(ev) {
             break true;
         }
-        if step >= MAX_STEPS {
+        if step >= MAX_STEPS && rose {
             break false;
         }
     };
-    let end_tsc = b.cpu.tsc;
+    let end_tsc = b.max_tsc();
 
-    // Block pass: run to the recorded TSCs.
+    // Block pass: run to the recorded clock values.
     let mut a = install(prog, MachineConfig { tier: ExecTier::Blocks, ..base });
-    if let Some(f) = prog.mid_flip {
-        if let Some(t) = flip_tsc {
-            a.run(t - a.cpu.tsc);
-            apply_mid_flip(&mut a, &f);
-        }
+    if let (Some(f), Some(t)) = (prog.mid_flip, flip_tsc) {
+        a.run(t - a.max_tsc());
+        apply_mid_flip(&mut a, &f);
     }
     if terminated {
         // The reference halted or triple-faulted at `end_tsc`; the
         // block side must reach the same terminal state. Slack covers
         // the halted-side TSC not advancing past the terminal event.
-        a.run(end_tsc.saturating_sub(a.cpu.tsc).saturating_add(100_000));
+        a.run(end_tsc.saturating_sub(a.max_tsc()).saturating_add(100_000));
     } else {
-        a.run(end_tsc - a.cpu.tsc);
+        a.run(end_tsc - a.max_tsc());
     }
 
     let sa = ArchState::capture(&a, &mask);
@@ -575,7 +595,7 @@ pub type MachinePair = (&'static str, Program, fn(&GenProgram, MachineConfig) ->
 
 /// Every machine-level differential pair, in sweep order — the one
 /// list `check_machine` and the unit tests both run.
-pub const MACHINE_PAIRS: [MachinePair; 8] = [
+pub const MACHINE_PAIRS: [MachinePair; 9] = [
     ("decode-cache", Program::Plain, pair_decode_cache),
     ("block-engine", Program::Plain, pair_block_engine),
     ("trace-sink", Program::Plain, pair_trace_sink),
@@ -583,6 +603,7 @@ pub const MACHINE_PAIRS: [MachinePair; 8] = [
     ("fork", Program::Plain, pair_fork),
     ("ring", Program::Ring, pair_ring),
     ("smp", Program::Smp, pair_smp),
+    ("smp-blocks", Program::Smp, pair_block_engine),
     ("smp-parked", Program::Plain, pair_smp_parked),
 ];
 
@@ -750,9 +771,10 @@ mod tests {
     #[test]
     fn smp_programs_actually_interleave_and_doorbell() {
         // The equivalence pairs above are only worth their runtime if
-        // the generated programs really wake CPU 1 and stop it with a
-        // reschedule IPI — pin that here so a generator regression
-        // can't silently turn the SMP sweep vacuous.
+        // the generated programs really wake CPU 1, deliver its
+        // self-IPIs and stop it with a reschedule IPI — pin that here
+        // so a generator regression can't silently turn the SMP sweep
+        // vacuous.
         let mut delivered = 0u64;
         for seed in 0..8u64 {
             let prog = crate::gen::generate_smp(seed, Variant::Clean);
@@ -761,6 +783,11 @@ mod tests {
             assert!(steps < MAX_STEPS, "smp seed {seed} did not terminate");
             assert!(m.cpu_state(0).halted && m.cpu_state(1).halted, "seed {seed} left a CPU live");
             assert!(m.cpu_state(1).tsc > 0, "smp seed {seed} never ran CPU 1");
+            assert_eq!(
+                m.mem.read_u32(crate::gen::SMP_IPI_COUNT),
+                crate::gen::SMP_IPI_DELIVERIES,
+                "smp seed {seed}: CPU 1 must take its four self-IPIs and the doorbell"
+            );
             delivered += m.counters().ipis;
         }
         assert!(delivered > 0, "no seed delivered a reschedule doorbell");

@@ -53,15 +53,20 @@
 //! ([`MON_IPI_ARG`](kfi_machine::ports::MON_IPI_ARG) /
 //! [`MON_IPI`](kfi_machine::ports::MON_IPI)), interleaves random work
 //! with it under the deterministic round-robin scheduler, and finally
-//! stops it with a reschedule doorbell (IDT vector `0x21`, which —
-//! like every other vector here — lands in the terminal `cli; hlt`
-//! handler). Extra regions:
+//! stops it with a reschedule doorbell. CPU 1 first sends itself four
+//! reschedule IPIs, made deliverable by `sti`, by `popf` and by the
+//! send itself (through an immediate port and through DX); IDT vector
+//! `0x21` points at a handler that logs each interrupted EIP and
+//! `iret`s, except that the fifth delivery (the doorbell) halts. Extra
+//! regions:
 //!
 //! | region              | address  |
 //! |---------------------|----------|
 //! | CPU 1 routine       | `0x3800` |
+//! | IPI handler         | `0x6300` |
 //! | CPU 1 stack top     | `0xE800` |
 //! | shared counter word | `0xFF00` |
+//! | IPI log / count     | `0xFF04` / `0xFF08` |
 
 use kfi_isa::{
     encode, AluKind, BtKind, Cond, Grp3Kind, MemRef, Op, PortArg, Reg, Rm, ShiftCount, ShiftKind,
@@ -122,6 +127,19 @@ pub const AP_STACK_TOP: u32 = 0xE800;
 /// Shared word both CPUs can reach; CPU 1 mutates it so cross-CPU
 /// memory traffic shows up in the lockstep memory digest.
 pub const SMP_SHARED: u32 = 0xFF00;
+/// SMP-program handler for the reschedule vector (`0x21`): folds the
+/// interrupted EIP into [`SMP_IPI_LOG`], counts the delivery in
+/// [`SMP_IPI_COUNT`] and `iret`s, except that the delivery that brings
+/// the count to [`SMP_IPI_DELIVERIES`] halts the CPU.
+pub const SMP_IPI_HANDLER: u32 = 0x6300;
+/// Rolling log of the EIPs the reschedule vector interrupted: an IPI
+/// delivered one instruction early or late leaves another value.
+pub const SMP_IPI_LOG: u32 = 0xFF04;
+/// Reschedule deliveries counted by [`SMP_IPI_HANDLER`].
+pub const SMP_IPI_COUNT: u32 = 0xFF08;
+/// Reschedule IPIs CPU 1 takes in a clean run: its four self-IPIs,
+/// then the bootstrap CPU's doorbell, which halts it.
+pub const SMP_IPI_DELIVERIES: u32 = 5;
 
 /// A deferred single-bit corruption applied while the program runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,9 +181,10 @@ pub struct RingSetup {
 /// The CPU 1 half of a two-CPU program (see [`generate_smp`]).
 #[derive(Debug, Clone)]
 pub struct SmpSetup {
-    /// CPU 1's routine, loaded at [`AP_CODE`]: stack setup, `sti`, a
-    /// seeded burst on the shared word, then a bounded store loop the
-    /// bootstrap CPU's reschedule doorbell interrupts terminally.
+    /// CPU 1's routine, loaded at [`AP_CODE`]: stack setup, four
+    /// self-IPIs each followed by a seeded burst on the shared word,
+    /// then a bounded store loop the bootstrap CPU's reschedule
+    /// doorbell interrupts terminally.
     pub ap_code: Vec<u8>,
 }
 
@@ -425,12 +444,18 @@ pub fn generate_ring(seed: u64, variant: Variant) -> GenProgram {
 /// startup IPI pointing CPU 1 at its seeded routine, runs random work
 /// and a countdown long enough for the round-robin interleaver to give
 /// CPU 1 real slices, then stops it with a reschedule doorbell (IDT
-/// vector `0x21` → the terminal handler) and halts itself. Both IPI
+/// vector `0x21` → [`SMP_IPI_HANDLER`], which halts CPU 1 on this
+/// delivery) and halts itself. Both IPI
 /// sends come *before* any random instruction, so even a seed whose
 /// random burst faults terminally still exercises cross-CPU wakeup and
-/// doorbell delivery. CPU 1's routine mutates the shared word at
-/// [`SMP_SHARED`] in a bounded loop with interrupts on — if the
-/// doorbell never lands (a machine with
+/// doorbell delivery. CPU 1 first sends itself a reschedule IPI four
+/// times: with interrupts off and then `sti`, with interrupts off and
+/// then a `popf` that sets IF, and twice with interrupts on (through an
+/// immediate port and through DX). Each must be
+/// delivered on the boundary right after the instruction that made it
+/// deliverable, and [`SMP_IPI_HANDLER`] logs where it landed. Then
+/// CPU 1 mutates the shared word at [`SMP_SHARED`] in a bounded loop
+/// with interrupts on — if the doorbell never lands (a machine with
 /// [`SeededBugs::ipi_drop`](kfi_machine::SeededBugs) drops
 /// it) the loop runs visibly longer, so a missed IPI can't hide from
 /// the lockstep digests. Paging alternates by seed parity like
@@ -498,29 +523,57 @@ pub fn generate_smp(seed: u64, variant: Variant) -> GenProgram {
         };
     }
 
-    // CPU 1's routine: own stack, interrupts on (so the doorbell is
-    // deliverable), a seeded burst on the shared word, then a bounded
-    // store loop — long enough that a clean run is always interrupted
-    // by the doorbell, bounded so a doorbell-less run still halts.
+    // CPU 1's routine: own stack, the four self-IPIs, then a bounded
+    // store loop with interrupts on — long enough that a clean run is
+    // always interrupted by the doorbell, bounded so a doorbell-less
+    // run still halts. CPU 1 starts with interrupts off.
+    let shared_burst = |ap: &mut Vec<u8>, rng: &mut StdRng| {
+        for _ in 0..rng.gen_range(1usize..4) {
+            let kind =
+                [AluKind::Add, AluKind::Xor, AluKind::Sub, AluKind::Or][rng.gen_range(0usize..4)];
+            ap.extend_from_slice(
+                &encode(&Op::Alu {
+                    kind,
+                    width: Width::D,
+                    dst: Rm::Mem(MemRef::abs(SMP_SHARED)),
+                    src: Src::Imm(imm(rng)),
+                })
+                .expect("shared burst"),
+            );
+        }
+    };
+    let self_ipi = |ap: &mut Vec<u8>| emit_out(ap, kfi_machine::ports::MON_IPI, 1 << 8);
     let mut ap: Vec<u8> = Vec::new();
     ap.extend_from_slice(
         &encode(&Op::Mov { width: Width::D, dst: Rm::reg(Reg::Esp), src: Src::Imm(AP_STACK_TOP) })
             .expect("mov esp"),
     );
+    // Queued with IF off; `sti` makes it deliverable.
+    self_ipi(&mut ap);
+    shared_burst(&mut ap, &mut rng);
     ap.push(0xfb); // sti
-    for _ in 0..rng.gen_range(1usize..4) {
-        let kind =
-            [AluKind::Add, AluKind::Xor, AluKind::Sub, AluKind::Or][rng.gen_range(0usize..4)];
-        ap.extend_from_slice(
-            &encode(&Op::Alu {
-                kind,
-                width: Width::D,
-                dst: Rm::Mem(MemRef::abs(SMP_SHARED)),
-                src: Src::Imm(imm(&mut rng)),
-            })
-            .expect("shared burst"),
-        );
-    }
+    shared_burst(&mut ap, &mut rng);
+    // Queued with IF off; a `popf` setting IF makes it deliverable.
+    ap.push(0xfa); // cli
+    self_ipi(&mut ap);
+    shared_burst(&mut ap, &mut rng);
+    ap.extend_from_slice(&encode(&Op::Push(Src::Imm(0x202))).expect("push imm"));
+    ap.extend_from_slice(&encode(&Op::Popf).expect("popf"));
+    shared_burst(&mut ap, &mut rng);
+    // Sent with IF on: deliverable as soon as the `out` retires.
+    self_ipi(&mut ap);
+    shared_burst(&mut ap, &mut rng);
+    // Again through DX, where the port is only known at run time.
+    ap.extend_from_slice(
+        &encode(&Op::Mov {
+            width: Width::D,
+            dst: Rm::reg(Reg::Edx),
+            src: Src::Imm(u32::from(kfi_machine::ports::MON_IPI)),
+        })
+        .expect("mov edx"),
+    );
+    ap.extend_from_slice(&encode(&Op::Out { width: Width::D, port: PortArg::Dx }).expect("out dx"));
+    shared_burst(&mut ap, &mut rng);
     ap.extend_from_slice(
         &encode(&Op::Mov {
             width: Width::D,
@@ -595,8 +648,11 @@ pub fn install(prog: &GenProgram, mut config: MachineConfig) -> Machine {
 
     if let Some(smp) = &prog.smp {
         // CPU 1 inherits CR0/CR3/IDT from the sender at startup-IPI
-        // time, so nothing beyond its routine needs installing here.
+        // time, so nothing beyond its routine and the reschedule
+        // handler needs installing here.
         m.mem.load(AP_CODE, &smp.ap_code);
+        m.mem.load(SMP_IPI_HANDLER, &smp_ipi_handler());
+        m.mem.write_u32(IDT_BASE + 0x21 * 8, SMP_IPI_HANDLER);
     }
 
     if let Some(ring) = &prog.ring {
@@ -634,6 +690,36 @@ pub fn install(prog: &GenProgram, mut config: MachineConfig) -> Machine {
         m.cpu.cr0 |= CR0_PG;
     }
     m
+}
+
+/// The [`SMP_IPI_HANDLER`] routine.
+fn smp_ipi_handler() -> Vec<u8> {
+    let log = || Rm::Mem(MemRef::abs(SMP_IPI_LOG));
+    let count = || Rm::Mem(MemRef::abs(SMP_IPI_COUNT));
+    let ops = [
+        Op::Push(Src::reg(Reg::Eax)),
+        // The interrupted EIP, above the saved EAX in the frame.
+        Op::Mov {
+            width: Width::D,
+            dst: Rm::reg(Reg::Eax),
+            src: Src::Mem(MemRef::base_disp(Reg::Esp, 4)),
+        },
+        Op::Shift { kind: ShiftKind::Rol, width: Width::D, dst: log(), count: ShiftCount::Imm(5) },
+        Op::Alu { kind: AluKind::Xor, width: Width::D, dst: log(), src: Src::reg(Reg::Eax) },
+        Op::Pop(Rm::reg(Reg::Eax)),
+        Op::IncDec { inc: true, width: Width::D, rm: count() },
+        Op::Alu {
+            kind: AluKind::Cmp,
+            width: Width::D,
+            dst: count(),
+            src: Src::Imm(SMP_IPI_DELIVERIES),
+        },
+        Op::Jcc { cond: Cond::Ae, rel: 1 }, // over the iret
+        Op::Iret,
+    ];
+    let mut code: Vec<u8> = ops.iter().flat_map(|op| encode(op).expect("ipi handler")).collect();
+    code.extend_from_slice(&[0xfa, 0xf4]); // cli; hlt
+    code
 }
 
 /// Applies a mid-run flip to a machine's code image. Routing the write

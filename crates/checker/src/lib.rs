@@ -15,7 +15,9 @@
 //!   interrupts — and a **two-CPU variant** ([`gen::generate_smp`])
 //!   whose bootstrap CPU wakes a second CPU with a startup IPI,
 //!   interleaves with it under the deterministic round-robin
-//!   scheduler, and stops it with a reschedule doorbell;
+//!   scheduler, sends itself reschedule IPIs made deliverable by
+//!   `sti`, `popf` and the send itself, and stops it with a reschedule
+//!   doorbell;
 //! * a **lockstep differential executor** ([`diff`]) running each
 //!   program under paired configurations that must agree
 //!   ([`diff::MACHINE_PAIRS`]) — decode cache on/off, block tier vs
@@ -23,7 +25,9 @@
 //!   shared-snapshot copy-on-write fork vs fresh boot, the block tier
 //!   vs the bare interpreter across ring transitions
 //!   ([`diff::pair_ring`]), decode cache on/off on a two-CPU machine
-//!   ([`diff::pair_smp`]), a two-CPU machine with a never-woken
+//!   ([`diff::pair_smp`]), the block tier vs single-step on a two-CPU
+//!   machine ([`diff::pair_block_engine`] on the two-CPU program), a
+//!   two-CPU machine with a never-woken
 //!   secondary vs the plain uniprocessor ([`diff::pair_smp_parked`]) —
 //!   and, at the campaign level, 1 vs N workers — comparing the full
 //!   architectural state (every CPU's, via
@@ -36,7 +40,8 @@
 //!   through `RigConfig::machine` instead), which validates per-step
 //!   invariants no differential pair can see (canonical EFLAGS,
 //!   monotonic TSC, CR2-iff-#PF, decode-cache coherence, MMU walk
-//!   idempotence). The block-engine and ring pairs run *without* it:
+//!   idempotence). The block-engine, smp-blocks and ring pairs run
+//!   *without* it:
 //!   the sanitizer demotes the block tier to single-stepping
 //!   ([`MachineConfig::effective_tier`](kfi_machine::MachineConfig::effective_tier)),
 //!   which would make those comparisons vacuous.

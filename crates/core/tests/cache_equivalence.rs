@@ -2,22 +2,26 @@
 //! single campaign result. A full small campaign at
 //! [`ExecTier::Interp`] (no decode cache, no blocks) is the reference;
 //! at every tier — and at any worker count — every record and every
-//! metric except the caches' own counters must be bit-identical.
+//! metric except the caches' own counters must be bit-identical. The
+//! same holds on the `smp` kernel at `cpus = 2`, where the block tier
+//! runs slice-bounded segments between scheduling decisions.
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
+use kfi_kernel::KernelBuildOptions;
 use kfi_machine::{ExecTier, MachineConfig};
 use kfi_profiler::ProfilerConfig;
 use kfi_trace::Metrics;
 
-fn campaign(tier: ExecTier, threads: usize) -> (Vec<kfi_injector::RunRecord>, Metrics) {
+fn campaign(tier: ExecTier, threads: usize, cpus: u32) -> (Vec<kfi_injector::RunRecord>, Metrics) {
     let exp = Experiment::prepare(ExperimentConfig {
         seed: 11,
         max_per_function: Some(2),
         threads,
+        kernel: KernelBuildOptions { smp: cpus > 1, ..KernelBuildOptions::default() },
         profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
         rig: RigConfig {
-            machine: MachineConfig { tier, ..MachineConfig::default() },
+            machine: MachineConfig { tier, cpus, ..MachineConfig::default() },
             ..Default::default()
         },
         ..Default::default()
@@ -45,9 +49,11 @@ fn without_cache_counters(m: &Metrics) -> Metrics {
     m
 }
 
-#[test]
-fn cached_campaign_is_bit_identical_to_uncached() {
-    let (rec_ref, met_ref) = campaign(ExecTier::Interp, 1);
+/// Runs campaign A on a `cpus`-CPU machine at every tier and at 1 and
+/// 2 worker threads, and checks each against the 1-thread `Interp`
+/// reference.
+fn tiers_are_bit_identical(cpus: u32) {
+    let (rec_ref, met_ref) = campaign(ExecTier::Interp, 1, cpus);
     assert_eq!(met_ref.decode_hits, 0, "the interpreter must count no decode-cache traffic");
     assert_eq!(met_ref.decode_misses, 0);
     assert_eq!(met_ref.block_hits, 0, "the interpreter runs no blocks");
@@ -58,7 +64,7 @@ fn cached_campaign_is_bit_identical_to_uncached() {
             if (tier, threads) == (ExecTier::Interp, 1) {
                 continue; // the reference itself
             }
-            let (rec, met) = campaign(tier, threads);
+            let (rec, met) = campaign(tier, threads, cpus);
             assert_eq!(rec_ref, rec, "records diverged at {tier:?} ({threads} threads)");
             assert_eq!(
                 met.decode_hits > 0,
@@ -82,4 +88,14 @@ fn cached_campaign_is_bit_identical_to_uncached() {
             );
         }
     }
+}
+
+#[test]
+fn cached_campaign_is_bit_identical_to_uncached() {
+    tiers_are_bit_identical(1);
+}
+
+#[test]
+fn smp_cached_campaign_is_bit_identical_to_uncached() {
+    tiers_are_bit_identical(2);
 }

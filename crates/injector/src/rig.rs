@@ -896,8 +896,8 @@ impl InjectorRig {
         }
         // Everything looked right — but did the run silently corrupt
         // the disk?
-        let disk = self.machine.disk.as_ref().expect("disk").bytes().to_vec();
-        match fsck(&disk, &self.manifest) {
+        let disk = self.machine.disk.as_ref().expect("disk").bytes();
+        match fsck(disk, &self.manifest) {
             FsckReport::Clean => Outcome::NotManifested,
             FsckReport::Fixed { notes, .. } => {
                 Outcome::FailSilenceViolation(FsvKind::SilentCorruption {

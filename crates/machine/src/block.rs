@@ -47,16 +47,20 @@
 //!   original, and any surprise (EIP divergence, generation bump,
 //!   conflict eviction, translation change) falls back to the careful
 //!   per-instruction path or exits to the full fetch machinery.
-//! * **Fallback conditions.** [`Machine::run`] only executes blocks at
-//!   the `Blocks` tier on a uniprocessor — the sanitizer demotes the
-//!   tier (its contract is *per-step* validation), and on a `cpus > 1`
-//!   machine quantum boundaries, IPI delivery and per-CPU timers need
-//!   per-step precision. Even then, a pending timer tick, a halted CPU,
-//!   a latched triple fault, or a breakpoint match at the block head
+//! * **Fallback conditions.** [`Machine::run`] executes blocks at the
+//!   `Blocks` tier — the sanitizer demotes the tier (its contract is
+//!   *per-step* validation). A pending timer tick, a halted CPU, a
+//!   latched triple fault, or a breakpoint match at the block head
 //!   routes that boundary through the ordinary [`Machine::step`]
-//!   machinery. [`Machine::step`] itself never uses blocks, so lockstep
-//!   tools (the checker, golden-trace capture) see unchanged per-step
-//!   semantics.
+//!   machinery, and so, on a `cpus > 1` machine, do a spent slice (the
+//!   step rotates CPUs) and a deliverable IPI (the step delivers it).
+//!   There a segment retires at most the active CPU's remaining slice —
+//!   an exact bound, unlike [`CHAIN_QUANTUM`] — and stops right after
+//!   any [`ipi_stops`] instruction that left an IPI deliverable, so
+//!   every rotation and delivery lands on the boundary where
+//!   single-stepping makes it. [`Machine::step`] itself never uses
+//!   blocks, so lockstep tools (the checker, golden-trace capture) see
+//!   unchanged per-step semantics.
 //!
 //! [`Machine::run`]: crate::Machine::run
 //! [`Machine::step`]: crate::Machine::step
@@ -65,7 +69,7 @@ use crate::machine::{Fault, Machine};
 use crate::mem::{PhysMem, PAGE_SIZE};
 use crate::mmu::Access;
 use crate::trap::Vector;
-use kfi_isa::{Insn, Op};
+use kfi_isa::{Insn, Op, PortArg};
 use std::sync::Arc;
 
 const PAGE_MASK: u32 = PAGE_SIZE - 1;
@@ -129,6 +133,21 @@ fn chain_stops(op: &Op) -> bool {
             | Op::Hlt
             | Op::MovToCr { .. }
     )
+}
+
+/// True when `op` may leave an IPI deliverable on the CPU executing
+/// it: an `out` to [`MON_IPI`](crate::ports::MON_IPI) (or to a port in
+/// DX, which might be it) can send one to itself, and `sti`/`popf` can
+/// set IF under a queued reschedule. (`iret` sets IF too, but already
+/// ends every trace.) On SMP machines these end a trace, so the check
+/// for a deliverable IPI runs once per block exit ([`chain_exit`]) and
+/// never inside the per-instruction replay loops.
+fn ipi_stops(op: &Op) -> bool {
+    match op {
+        Op::Out { port: PortArg::Imm(port), .. } => u16::from(*port) == crate::ports::MON_IPI,
+        Op::Out { port: PortArg::Dx, .. } | Op::Sti | Op::Popf => true,
+        _ => false,
+    }
 }
 
 /// A recorded run of decoded instructions.
@@ -369,7 +388,9 @@ enum ChainExit {
 /// *computed* successor (`ret`, indirect branch, a repeating string
 /// op's own address) is as chainable as a static one. Everything
 /// privilege- or regime-changing (`int`, `iret`, `lret`, `mov %cr`),
-/// plus halt and the trap instructions, goes back to the dispatcher.
+/// plus halt and the trap instructions, goes back to the dispatcher, as
+/// does an [`ipi_stops`] instruction that left an IPI deliverable: the
+/// next step must deliver it.
 fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
     match insn.op {
         Op::Jmp { .. }
@@ -383,6 +404,7 @@ fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
             let fallthrough = eip.wrapping_add(u32::from(insn.len));
             ChainExit::Chain { dir: usize::from(m.cpu.eip == fallthrough) }
         }
+        ref op if ipi_stops(op) && m.ipi_deliverable() => ChainExit::Stop,
         ref op if !chain_stops(op) => ChainExit::Chain { dir: 1 },
         _ => ChainExit::Stop,
     }
@@ -426,9 +448,14 @@ impl Machine {
     ///
     /// The caller, [`Machine::run`](crate::Machine::run), guarantees on
     /// entry: no latched triple fault, CPU not halted, no pending timer
-    /// tick, no breakpoint match at the current EIP, and
-    /// `tsc < deadline`.
-    pub(crate) fn exec_block(&mut self, deadline: u64) {
+    /// tick, no breakpoint match at the current EIP, no deliverable
+    /// IPI, `tsc < deadline` and `counters.instructions < slice_end`.
+    ///
+    /// `slice_end` is an exact bound: the segment stops at the boundary
+    /// where `counters.instructions` reaches it, even mid-block. On SMP
+    /// it is where the active CPU's slice runs out; a uniprocessor
+    /// passes `u64::MAX`.
+    pub(crate) fn exec_block(&mut self, deadline: u64, slice_end: u64) {
         // Mid-block boundaries must stop wherever the single-step loop
         // would have intervened: the run deadline or the next timer
         // tick, whichever comes first. `next_tick` cannot move during a
@@ -469,20 +496,21 @@ impl Machine {
         let mut pa = pa0;
         let mut block = match self.block_cache.take(pa, &self.mem) {
             Some(b) => b,
-            None => return self.record_block(eip0, pa0, limit),
+            None => return self.record_block(eip0, pa0, limit, slice_end),
         };
         loop {
-            let exit = self.replay_block_fast(&block, pa, limit, &mut quantum, &mut ctx);
+            let exit = self.replay_block_fast(&block, pa, limit, slice_end, &mut quantum, &mut ctx);
             self.block_cache.put_back(pa, block);
             let dir = match exit {
                 ChainExit::Stop => return,
                 ChainExit::Chain { dir } => dir,
             };
             // Between blocks the dispatch loop would check the deadline
-            // and timer (both folded into `limit`), the abort flag and
-            // halt/triple-fault state (only reachable through exits that
-            // already `Stop`), and breakpoints at the new EIP.
-            if quantum == 0 || self.cpu.tsc >= limit {
+            // and timer (both folded into `limit`), the slice, the abort
+            // flag, halt/triple-fault state and deliverable IPIs (only
+            // reachable through exits that already `Stop`), and
+            // breakpoints at the new EIP.
+            if quantum == 0 || self.cpu.tsc >= limit || self.counters.instructions >= slice_end {
                 return;
             }
             let neip = self.cpu.eip;
@@ -505,7 +533,7 @@ impl Machine {
                     pa = npa;
                     block = b;
                 }
-                None => return self.record_block(neip, npa, limit),
+                None => return self.record_block(neip, npa, limit, slice_end),
             }
         }
     }
@@ -556,6 +584,9 @@ impl Machine {
     ///   is bumped for the whole block up front and walked back on an
     ///   early exit; the quantum is debited for the whole block, which
     ///   can only *shorten* a segment (more frequent abort polls).
+    /// * **Slice.** Unlike the quantum, `slice_end` is exact: a chunk
+    ///   never extends past the instruction that reaches it, so an SMP
+    ///   segment ends on the very boundary where the slice runs out.
     /// * **Fetch translation.** Proven *once per entry*: every `(vpn,
     ///   pfn)` pair the trace fetches from is checked TLB-resident with
     ///   fetch permission ([`Machine::trace_pages_mapped`]). Because
@@ -588,12 +619,13 @@ impl Machine {
         block: &Block,
         pa0: u32,
         limit: u64,
+        slice_end: u64,
         quantum: &mut u32,
         ctx: &mut FetchCtx,
     ) -> ChainExit {
         let n = block.steps.len();
         if self.cpu.dr7 != 0 {
-            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx);
+            return self.replay_block_careful(block, 0, pa0, limit, slice_end, quantum, ctx);
         }
         let paging = self.cpu.paging();
         // Entry validation: same paging regime, the head translation
@@ -603,7 +635,7 @@ impl Machine {
             || block.steps[0].pa != pa0
             || (paging && !self.trace_pages_mapped(block))
         {
-            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx);
+            return self.replay_block_careful(block, 0, pa0, limit, slice_end, quantum, ctx);
         }
         let mut tlb_gen = self.tlb.generation();
         // TLB and decode hit counters are *derived*, not accumulated:
@@ -659,10 +691,12 @@ impl Machine {
         // the hot run to the end of the block; only when the limit is
         // genuinely exhausted (`slack == 0`, where the reference
         // protocol stops before the next instruction) does the careful
-        // path take over. Chunk boundaries are invisible to the
-        // accounting: instructions are pre-counted per chunk, so at any
-        // step `i` everything in `[0, k)` is counted and the walk-back
-        // arithmetic below is chunk-agnostic.
+        // path take over. The slice caps a chunk the same way, exactly:
+        // `room` more instructions may retire, and at `room == 0` the
+        // careful path stops before the next one. Chunk boundaries are
+        // invisible to the accounting: instructions are pre-counted per
+        // chunk, so at any step `i` everything in `[0, k)` is counted
+        // and the walk-back arithmetic below is chunk-agnostic.
         // The terminator step (`n - 1`) is peeled out of the loop too —
         // it is the only step that classifies a chain exit, so peeling
         // it drops the `i == n - 1` test from every mid-trace
@@ -674,11 +708,15 @@ impl Machine {
         let mut start = 1usize;
         loop {
             let slack = limit.saturating_sub(self.cpu.tsc);
-            if slack == 0 {
+            let room = slice_end - self.counters.instructions;
+            if slack == 0 || room == 0 {
                 flush_hits!(start as u64, start as u64 - 1);
-                return self.replay_block_careful(block, start, pa0, limit, quantum, ctx);
+                return self
+                    .replay_block_careful(block, start, pa0, limit, slice_end, quantum, ctx);
             }
-            let k = n.min(start + ((slack - 1) / MAX_TSC_PER_INSN) as usize + 1);
+            let k = n
+                .min(start + ((slack - 1) / MAX_TSC_PER_INSN) as usize + 1)
+                .min(start + room.min(n as u64) as usize);
             self.counters.instructions += (k - start) as u64;
             *quantum = quantum.saturating_sub((k - start) as u32);
             for (i, st) in block.steps[..k.min(n - 1)].iter().enumerate().skip(start) {
@@ -693,7 +731,8 @@ impl Machine {
                     // pre-count too).
                     self.counters.instructions -= (k - i) as u64;
                     flush_hits!(i as u64, i as u64 - 1);
-                    return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                    return self
+                        .replay_block_careful(block, i, pa0, limit, slice_end, quantum, ctx);
                 }
                 if paging {
                     let g = self.tlb.generation();
@@ -706,7 +745,9 @@ impl Machine {
                         if !self.trace_pages_mapped(block) {
                             self.counters.instructions -= (k - i) as u64;
                             flush_hits!(i as u64, i as u64 - 1);
-                            return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                            return self.replay_block_careful(
+                                block, i, pa0, limit, slice_end, quantum, ctx,
+                            );
                         }
                         tlb_gen = g;
                     }
@@ -752,12 +793,12 @@ impl Machine {
             if eip != st.eip {
                 self.counters.instructions -= 1;
                 flush_hits!(i as u64, i as u64 - 1);
-                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                return self.replay_block_careful(block, i, pa0, limit, slice_end, quantum, ctx);
             }
             if paging && self.tlb.generation() != tlb_gen && !self.trace_pages_mapped(block) {
                 self.counters.instructions -= 1;
                 flush_hits!(i as u64, i as u64 - 1);
-                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                return self.replay_block_careful(block, i, pa0, limit, slice_end, quantum, ctx);
             }
             if self.mem.page_gen(st.pa) != st.gen || !self.decode_cache.probe_at(st.pa, st.gen) {
                 flush_hits!(i as u64, i as u64);
@@ -786,9 +827,9 @@ impl Machine {
     /// Reference-protocol replay, used when the hot path's
     /// preconditions fail (breakpoints armed) or its provably-safe
     /// prefix ends before the block does (the block could cross `limit`
-    /// mid-way): every boundary check the single-step loop makes runs
-    /// per instruction from index `start`. Every path that executes an
-    /// instruction decrements `quantum`.
+    /// or `slice_end` mid-way): every boundary check the single-step
+    /// loop makes runs per instruction from index `start`. Every path
+    /// that executes an instruction decrements `quantum`.
     #[cold]
     fn replay_block_careful(
         &mut self,
@@ -796,6 +837,7 @@ impl Machine {
         start: usize,
         pa0: u32,
         limit: u64,
+        slice_end: u64,
         quantum: &mut u32,
         ctx: &mut FetchCtx,
     ) -> ChainExit {
@@ -811,7 +853,7 @@ impl Machine {
             let pa = if i == 0 {
                 pa0 // already translated and counted by exec_block
             } else {
-                if self.cpu.tsc >= limit {
+                if self.cpu.tsc >= limit || self.counters.instructions >= slice_end {
                     return ChainExit::Stop;
                 }
                 if bp_armed && self.cpu.breakpoint_match(eip).is_some() {
@@ -862,15 +904,17 @@ impl Machine {
 
     /// Executes instructions on the single-step fetch path while
     /// recording them, until a trace-ending instruction, fault, cycle
-    /// limit, breakpoint, full page set, or the length cap ends the
-    /// trace. Branches of any kind — direct, computed
+    /// limit, spent slice, breakpoint, full page set, or the length cap
+    /// ends the trace. On SMP machines an [`ipi_stops`] instruction ends
+    /// the trace too. Branches of any kind — direct, computed
     /// (`ret`/`jmp*`/`call*`), cross-page, even pinned-EIP `rep` string
     /// iterations — do *not* terminate recording: the block becomes a
     /// trace of the path actually taken, and replays verify each step
     /// against the recorded physical addresses and page generations
     /// before trusting it.
-    fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64) {
+    fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64, slice_end: u64) {
         let paging = self.cpu.paging();
+        let smp = self.cpus() > 1;
         let start_gen = self.mem.page_gen(pa0);
         let mut steps: Vec<Step> = Vec::with_capacity(MAX_BLOCK_INSNS);
         let mut pages: Vec<(u32, u32)> = Vec::new();
@@ -926,7 +970,12 @@ impl Machine {
             // compare verifies live control flow still follows the
             // recorded path. Only privilege/regime changes, halts, and
             // traps end a trace.
-            if faulted || !recordable || chain_stops(&insn.op) || steps.len() >= MAX_BLOCK_INSNS {
+            if faulted
+                || !recordable
+                || chain_stops(&insn.op)
+                || (smp && ipi_stops(&insn.op))
+                || steps.len() >= MAX_BLOCK_INSNS
+            {
                 break;
             }
             // Next boundary: the same checks a cached replay performs.
@@ -934,7 +983,7 @@ impl Machine {
             // each step against the recorded address, so the page is
             // not a soundness boundary.
             let neip = self.cpu.eip;
-            if self.cpu.tsc >= limit {
+            if self.cpu.tsc >= limit || self.counters.instructions >= slice_end {
                 break;
             }
             if self.cpu.dr7 != 0 && self.cpu.breakpoint_match(neip).is_some() {
@@ -961,7 +1010,10 @@ impl Machine {
             // not match the live bytes (e.g. a store into the block
             // itself, or a fault pushing its frame onto a stack in this
             // page). Further pages a trace spans are anchored by their
-            // per-instruction recorded generations instead.
+            // per-instruction recorded generations instead. The cache
+            // keeps a block for the rest of the run, so it keeps only
+            // the steps recorded, not the cap reserved above.
+            steps.shrink_to_fit();
             self.block_cache.insert(pa0, start_gen, Block { steps, pages, paged: paging });
         }
     }

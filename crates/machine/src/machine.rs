@@ -170,7 +170,7 @@ pub struct MachineConfig {
     /// parked (halted, interrupts off) until a startup IPI, the CPUs
     /// interleave round-robin at [`MachineConfig::smp_quantum`]-step
     /// slices over the shared physical memory, and [`Machine::run`]
-    /// single-steps (blocks are a uniprocessor fast path).
+    /// runs block segments only within a slice.
     pub cpus: u32,
     /// Round-robin slice length in steps for `cpus > 1` (default 64).
     /// Together with [`MachineConfig::smp_seed`] this fully determines
@@ -988,10 +988,15 @@ impl Machine {
         if !cpu.halted {
             return true;
         }
-        smp.pending[index].iter().any(|ipi| match ipi {
-            crate::smp::Ipi::Startup { .. } => true,
-            crate::smp::Ipi::Resched => cpu.eflags.if_(),
-        })
+        smp.pending[index].iter().any(|ipi| ipi.deliverable(cpu.eflags.if_()))
+    }
+
+    /// Whether the next [`Machine::step`] on the active CPU would
+    /// deliver a pending IPI (always false on a uniprocessor).
+    pub(crate) fn ipi_deliverable(&self) -> bool {
+        let Some(smp) = &self.smp else { return false };
+        let if_set = self.cpu.eflags.if_();
+        smp.pending[smp.active].iter().any(|ipi| ipi.deliverable(if_set))
     }
 
     /// Whether CPU `index` could ever make progress: live now, or
@@ -1054,10 +1059,7 @@ impl Machine {
         let if_set = self.cpu.eflags.if_();
         let smp = self.smp.as_mut().unwrap();
         let q = &mut smp.pending[smp.active];
-        let idx = q.iter().position(|ipi| match ipi {
-            crate::smp::Ipi::Startup { .. } => true,
-            crate::smp::Ipi::Resched => if_set,
-        })?;
+        let idx = q.iter().position(|ipi| ipi.deliverable(if_set))?;
         let ipi = q.remove(idx).unwrap();
         match ipi {
             crate::smp::Ipi::Startup { entry, cr0, cr3, idt_base } => {
@@ -1369,16 +1371,21 @@ impl Machine {
     /// budgeting the laggard would stretch the watchdog by the drift.
     /// On a uniprocessor it is exactly `cpu.tsc`.
     ///
-    /// Each iteration either single-steps or, at [`ExecTier::Blocks`]
-    /// on a uniprocessor, executes one chained block segment. Anything
-    /// that needs per-step precision — a halted CPU, a latched triple
-    /// fault, a due timer tick, a breakpoint at the head, the
-    /// sanitizer, more than one CPU — goes through [`Machine::step`].
-    /// When blocks may run, the abort flag is polled every iteration (a
-    /// block segment retires at most half of [`ABORT_CHECK_STEPS`]
-    /// instructions); otherwise every [`ABORT_CHECK_STEPS`]-th step.
+    /// Each iteration either single-steps or, at [`ExecTier::Blocks`],
+    /// executes one chained block segment. Anything that needs per-step
+    /// precision — a halted CPU, a latched triple fault, a due timer
+    /// tick, a breakpoint at the head, the sanitizer, and on SMP
+    /// machines a spent slice or a deliverable IPI — goes through
+    /// [`Machine::step`] (see `segment_end`). On SMP a
+    /// segment retires at most the active CPU's remaining slice, which
+    /// is then debited by exactly the instructions retired, so every
+    /// rotation and IPI delivery lands on the boundary where
+    /// single-stepping makes it. When blocks may run, the abort flag is
+    /// polled every iteration (a block segment retires at most half of
+    /// [`ABORT_CHECK_STEPS`] instructions); otherwise every
+    /// [`ABORT_CHECK_STEPS`]-th step.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        let blocks = self.block_cache.enabled() && self.smp.is_none();
+        let blocks = self.block_cache.enabled();
         let mut now = self.max_tsc();
         let deadline = now.saturating_add(max_cycles);
         let mut steps: u32 = 0;
@@ -1397,8 +1404,14 @@ impl Machine {
                     }
                 }
             }
-            if blocks && !self.needs_step() {
-                self.exec_block(deadline);
+            if let Some(slice_end) = blocks.then(|| self.segment_end()).flatten() {
+                let start = self.counters.instructions;
+                self.exec_block(deadline, slice_end);
+                if let Some(smp) = self.smp.as_mut() {
+                    // Each retired instruction stands for one step, and
+                    // each step debits the slice once.
+                    smp.slice_left -= (self.counters.instructions - start) as u32;
+                }
                 // A fault cascade inside the block can latch a triple
                 // fault; report it before the deadline, as stepping
                 // would.
@@ -1416,14 +1429,27 @@ impl Machine {
         }
     }
 
-    /// Whether the next instruction boundary needs [`Machine::step`]'s
-    /// per-step handling rather than a block: latched triple fault,
-    /// halted CPU, due timer tick, or a breakpoint at EIP.
-    fn needs_step(&self) -> bool {
-        self.triple_faulted
+    /// Where a block segment starting at this boundary must end, as a
+    /// value of `counters.instructions`, or `None` when the boundary
+    /// needs [`Machine::step`]'s per-step handling: a latched triple
+    /// fault, a halted CPU, a due timer tick or a breakpoint at EIP;
+    /// on SMP also a spent slice (the step rotates CPUs) or a pending
+    /// IPI the step would deliver. (The step also rotates away from an
+    /// active CPU that is not live, but a live-less CPU is halted.) A
+    /// uniprocessor segment has no instruction bound.
+    fn segment_end(&self) -> Option<u64> {
+        if self.triple_faulted
             || self.cpu.halted
             || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
             || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some())
+        {
+            return None;
+        }
+        let Some(smp) = &self.smp else { return Some(u64::MAX) };
+        if smp.slice_left == 0 || self.ipi_deliverable() {
+            return None;
+        }
+        Some(self.counters.instructions + u64::from(smp.slice_left))
     }
 }
 

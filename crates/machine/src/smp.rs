@@ -34,6 +34,18 @@ pub(crate) enum Ipi {
     },
 }
 
+impl Ipi {
+    /// Whether [`Machine::step`](crate::Machine::step) delivers this IPI
+    /// to a CPU whose IF is `if_set`: a startup always, a reschedule
+    /// only with interrupts on.
+    pub fn deliverable(&self, if_set: bool) -> bool {
+        match self {
+            Ipi::Startup { .. } => true,
+            Ipi::Resched => if_set,
+        }
+    }
+}
+
 /// The parked context of one CPU: everything per-CPU that the machine
 /// otherwise keeps inline for the active CPU.
 #[derive(Debug)]

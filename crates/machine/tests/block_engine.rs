@@ -311,3 +311,176 @@ proptest! {
         prop_assert_eq!(on.console(), off.console());
     }
 }
+
+// ---- Two-CPU machines ----
+//
+// On a `cpus = 2` machine a block segment is bounded by the active
+// CPU's slice, and must stop on the boundary after any instruction that
+// leaves an IPI deliverable there. The programs below exercise each
+// rule inside recorded (and replayed) traces; the reschedule handler
+// folds every interrupted EIP into a log word, so an IPI delivered one
+// instruction late changes memory, not just timing.
+
+/// Where the reschedule handler counts deliveries and logs the
+/// interrupted EIPs.
+const IPI_COUNT: u32 = 0x9000;
+const IPI_LOG: u32 = 0x9004;
+
+/// `mov $value, %eax; out %eax, $port`.
+fn out_imm(code: &mut Vec<u8>, port: u8, value: u32) {
+    code.push(0xb8);
+    code.extend_from_slice(&value.to_le_bytes());
+    code.extend_from_slice(&[0xe7, port]);
+}
+
+/// CPU 0's program: wake CPU 1 at 0x3000, then `iters` times send
+/// itself a reschedule IPI four ways — queued under `cli` and made
+/// deliverable by `sti`, queued under `cli` and made deliverable by a
+/// `popf` setting IF, and sent with IF already on through an immediate
+/// port and through DX — each followed by more work in the same trace,
+/// and ring CPU 1's doorbell.
+fn smp_ipi_program(iters: u32) -> Vec<u8> {
+    use kfi_machine::ports::{MON_IPI, MON_IPI_ARG};
+    let mut code = Vec::new();
+    out_imm(&mut code, MON_IPI_ARG as u8, 0x3000);
+    out_imm(&mut code, MON_IPI as u8, (1 << 16) | (1 << 8)); // startup CPU 1
+    code.push(0xb9); // mov ecx, iters
+    code.extend_from_slice(&iters.to_le_bytes());
+    let body: Vec<u8> = [
+        &[0x43, 0xfa][..],                              // inc ebx; cli
+        &[0x31, 0xc0, 0xe7, MON_IPI as u8],             // xor eax,eax; out: resched self, queued
+        &[0x43, 0xfb, 0x42],                            // inc ebx; sti (deliverable); inc edx
+        &[0xfa, 0xe7, MON_IPI as u8],                   // cli; out: queued again
+        &[0x43, 0x68, 0x02, 0x02, 0, 0, 0x9d],          // inc ebx; push $0x202; popf (deliverable)
+        &[0x42, 0xe7, MON_IPI as u8, 0x42], // inc edx; out with IF on (deliverable); inc edx
+        &[0xba, MON_IPI as u8, 0, 0, 0, 0xef, 0x43], // mov edx, port; out to (%dx); inc ebx
+        &[0xb8, 0x00, 0x01, 0, 0, 0xe7, MON_IPI as u8], // resched CPU 1
+        &[0x49],                            // dec ecx
+    ]
+    .concat();
+    code.extend_from_slice(&body);
+    code.extend_from_slice(&[0x75, (-(body.len() as i32 + 2)) as i8 as u8]); // jnz body
+    code.extend_from_slice(&[0xfa, 0xf4]); // cli; hlt
+    code
+}
+
+/// A two-CPU machine with CPU 0 at 0x1000 running `code`, CPU 1's
+/// routine at 0x3000 (interrupts on, `cpu1_iters` turns of an
+/// `inc esi; inc edi` loop that also rings CPU 0's doorbell, which
+/// lands under `cli`, inside the handler and before `iret`s as often
+/// as not), every vector on a `cli; hlt` handler
+/// except the reschedule vector `0x21`, whose handler counts and logs
+/// deliveries and `iret`s.
+fn smp_machine(code: &[u8], blocks: bool, quantum: u32, smp_seed: u64, cpu1_iters: u32) -> Machine {
+    let tier = if blocks { ExecTier::Blocks } else { ExecTier::Decoded };
+    let mut m = Machine::new(MachineConfig {
+        phys_mem: 1 << 20,
+        timer_enabled: false,
+        tier,
+        cpus: 2,
+        smp_quantum: quantum,
+        smp_seed,
+        ..Default::default()
+    });
+    m.mem.load(0x6000, &[0xfa, 0xf4]);
+    let (log, count) = (IPI_LOG.to_le_bytes(), IPI_COUNT.to_le_bytes());
+    let handler = [
+        &[0x50][..],               // push eax
+        &[0x8b, 0x44, 0x24, 0x04], // mov eax, [esp+4]: the interrupted EIP
+        &[0xc1, 0x05],             // rol dword [IPI_LOG], 5
+        &log,
+        &[0x05],
+        &[0x31, 0x05], // xor [IPI_LOG], eax
+        &log,
+        &[0x58],       // pop eax
+        &[0xff, 0x05], // inc dword [IPI_COUNT]
+        &count,
+        &[0xcf], // iret
+    ]
+    .concat();
+    m.mem.load(0x6100, &handler);
+    for v in 0..256u32 {
+        let handler = if v == 0x21 { 0x6100 } else { 0x6000 };
+        m.mem.write_u32(0x7000 + v * 8, handler);
+        m.mem.write_u32(0x7000 + v * 8 + 4, 1);
+    }
+    let mut cpu1 = vec![0xbc, 0x00, 0xe8, 0x00, 0x00, 0xfb, 0xb9]; // mov esp; sti; mov ecx
+    cpu1.extend_from_slice(&cpu1_iters.to_le_bytes());
+    let body = [0x46, 0x47, 0x31, 0xc0, 0xe7, kfi_machine::ports::MON_IPI as u8, 0x49];
+    cpu1.extend_from_slice(&body); // inc esi; inc edi; resched CPU 0; dec ecx
+    cpu1.extend_from_slice(&[0x75, (-(body.len() as i32 + 2)) as i8 as u8, 0xfa, 0xf4]); // jnz; cli; hlt
+    m.mem.load(0x3000, &cpu1);
+    m.mem.load(0x1000, code);
+    m.cpu.eip = 0x1000;
+    m.cpu.idt_base = 0x7000;
+    m.cpu.set_reg(4, 0xf000);
+    m
+}
+
+fn assert_smp_identical(on: &Machine, off: &Machine) {
+    assert_eq!(on.snapshot(), off.snapshot(), "CPUs, memory, slice or IPI queues differ");
+    assert_eq!(on.smp_digest(), off.smp_digest());
+    assert_eq!(on.counters(), off.counters());
+    assert_eq!(on.decode_stats(), off.decode_stats(), "decode stats are golden-pinned");
+    assert_eq!(on.tlb_stats(), off.tlb_stats(), "TLB stats are golden-pinned");
+}
+
+#[test]
+fn smp_blocks_deliver_ipis_on_the_single_step_boundary() {
+    let code = smp_ipi_program(200);
+    let mut on = smp_machine(&code, true, 64, 0, 3000);
+    let mut off = smp_machine(&code, false, 64, 0, 3000);
+    assert_eq!(on.run(2_000_000), RunExit::Halted);
+    assert_eq!(off.run(2_000_000), RunExit::Halted);
+    assert_smp_identical(&on, &off);
+    // 3 self-IPIs per turn, and CPU 1 takes its doorbells.
+    assert!(on.mem.read_u32(IPI_COUNT) >= 600, "self-IPIs were not delivered");
+    let (hits, _, _) = on.block_stats();
+    assert!(hits > 100, "a cpus = 2 machine must replay blocks, got {hits} hits");
+    assert_eq!(off.block_stats(), (0, 0, 0));
+}
+
+#[test]
+fn smp_slice_ending_inside_a_recorded_block_rotates_on_time() {
+    // Straight-line loops on both CPUs record 128-instruction traces;
+    // a 5-step slice ends inside nearly every replay of them.
+    let mut code = vec![0xb9, 0x00, 0x02, 0x00, 0x00]; // mov ecx, 512
+    out_imm(&mut code, kfi_machine::ports::MON_IPI_ARG as u8, 0x3000);
+    out_imm(&mut code, kfi_machine::ports::MON_IPI as u8, (1 << 16) | (1 << 8));
+    code.extend_from_slice(&[0x43, 0x43, 0x43, 0x49, 0x75, 0xfa, 0xfa, 0xf4]);
+    for (quantum, seed) in [(5, 0), (5, 0x5eed), (64, 0x5eed), (200, 0)] {
+        let mut on = smp_machine(&code, true, quantum, seed, 400);
+        let mut off = smp_machine(&code, false, quantum, seed, 400);
+        assert_eq!(on.run(1_000_000), RunExit::Halted);
+        assert_eq!(off.run(1_000_000), RunExit::Halted);
+        assert_smp_identical(&on, &off);
+        assert!(on.block_stats().0 > 0, "quantum {quantum}: blocks must replay");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Two CPUs under any slice length and jitter seed, stopped at an
+    /// arbitrary cycle budget and then run to the end: the block tier
+    /// leaves the same CPUs, memory, slice position, jitter state and
+    /// IPI queues as single-stepping at every stop — self-IPIs sent
+    /// mid-block, `sti`/`popf` under a queued reschedule, and slices
+    /// ending inside recorded blocks included.
+    #[test]
+    fn smp_block_tier_matches_single_step(
+        quantum in 1u32..160,
+        smp_seed in any::<u64>(),
+        iters in 1u32..64,
+        cpu1_iters in 1u32..800,
+        pause in 1u64..40_000,
+    ) {
+        let code = smp_ipi_program(iters);
+        let mut on = smp_machine(&code, true, quantum, smp_seed, cpu1_iters);
+        let mut off = smp_machine(&code, false, quantum, smp_seed, cpu1_iters);
+        prop_assert_eq!(on.run(pause), off.run(pause));
+        assert_smp_identical(&on, &off);
+        prop_assert_eq!(on.run(2_000_000), off.run(2_000_000));
+        assert_smp_identical(&on, &off);
+    }
+}
